@@ -9,8 +9,6 @@
                                          -- machine-readable bench record
      dune exec bench/main.exe -- campaign [--quick] [--out FILE]
                                          -- adversarial campaign matrix record
-     dune exec bench/main.exe -- pipeline [--quick] [--out FILE]
-                                         -- staged-pipeline identity + speedup record
 
    Pass --metrics anywhere to dump the telemetry registry at exit. *)
 
@@ -1151,125 +1149,6 @@ let bench_dataplane ~quick ~out () =
   end;
   if !fail then exit 1
 
-(* ==== "pipeline" preset (PR 9): the staged distillation pipeline —
-   serial engine vs link/EC/PA on separate domains with multiple
-   rounds in flight.  Hard gate: every pipelined leg's results (round
-   metrics, key pools, auth spend/replenish, running QBER, round
-   counters) must be bit-identical to the serial leg's.  Speedup is
-   recorded but advisory — the 1-core CI container time-slices the
-   stage domains, so wall-clock gains only show on real cores (same
-   caveat as the PR 2 batched-link rows). ==== *)
-
-module Key_pool = Qkd_protocol.Key_pool
-module Auth = Qkd_protocol.Auth
-
-(* Everything observable about a finished engine run: the per-round
-   results plus the terminal engine state.  [Key_pool.consume] drains
-   the delivered bits so pool contents — not just counts — are
-   compared. *)
-let pipeline_fingerprint engine results =
-  let drain p =
-    let n = Key_pool.available p in
-    (n, Key_pool.consume p n)
-  in
-  ( results,
-    drain (Engine.alice_pool engine),
-    drain (Engine.bob_pool engine),
-    Auth.consumed_bits (Engine.alice_auth engine),
-    Auth.consumed_bits (Engine.bob_auth engine),
-    Auth.replenished_bits (Engine.alice_auth engine),
-    Auth.replenished_bits (Engine.bob_auth engine),
-    Engine.last_qber engine,
-    Engine.rounds_completed engine,
-    Engine.rounds_failed engine )
-
-let pipeline_leg ~depth ~rounds ~pulses =
-  let engine = Engine.create ~seed:2003L Engine.default_config in
-  let acc = ref [] in
-  let distilled = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  Engine.run_rounds ~pipeline_depth:depth engine ~rounds ~pulses (fun r ->
-      (match r with
-      | Ok m -> distilled := !distilled + m.Engine.distilled_bits
-      | Error _ -> ());
-      acc := r :: !acc);
-  let dt = Unix.gettimeofday () -. t0 in
-  (pipeline_fingerprint engine (List.rev !acc), !distilled, dt)
-
-let bench_pipeline ~quick ~out () =
-  (* 1M pulses is the smallest round whose entropy margin survives
-     privacy amplification at c = 5, so every leg distils real key. *)
-  let rounds = if quick then 4 else 12 in
-  let pulses = if quick then 1_000_000 else 2_000_000 in
-  let depths = [ 1; 2; 4 ] in
-  Format.printf "pipeline: serial leg (%d rounds x %d pulses)...@." rounds
-    pulses;
-  let serial_fp, serial_bits, serial_s =
-    pipeline_leg ~depth:1 ~rounds ~pulses
-  in
-  let legs =
-    List.map
-      (fun depth ->
-        Format.printf "pipeline: depth %d...@." depth;
-        let fp, bits, s = pipeline_leg ~depth ~rounds ~pulses in
-        (depth, fp = serial_fp, bits, s))
-      depths
-  in
-  let sim_elapsed =
-    let results, _, _, _, _, _, _, _, _, _ = serial_fp in
-    List.fold_left
-      (fun acc -> function
-        | Ok m -> acc +. m.Engine.elapsed_s
-        | Error _ -> acc)
-      0.0 results
-  in
-  let identical_all = List.for_all (fun (_, id, _, _) -> id) legs in
-  let best_speedup =
-    List.fold_left (fun acc (_, _, _, s) -> max acc (serial_s /. s)) 0.0 legs
-  in
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"pr\": 9,\n";
-  bpf "  \"preset\": %S,\n" (if quick then "quick" else "full");
-  bpf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
-  bpf "  \"rounds\": %d,\n" rounds;
-  bpf "  \"pulses_per_round\": %d,\n" pulses;
-  bpf "  \"serial\": { \"seconds\": %.4f, \"distilled_bits\": %d, \
-       \"distilled_bps\": %.1f },\n"
-    serial_s serial_bits
-    (if sim_elapsed > 0.0 then float_of_int serial_bits /. sim_elapsed else 0.0);
-  bpf "  \"runs\": [\n";
-  List.iteri
-    (fun i (depth, identical, bits, s) ->
-      bpf
-        "    { \"depth\": %d, \"seconds\": %.4f, \"distilled_bits\": %d, \
-         \"rounds_per_wall_s\": %.2f, \"speedup_vs_serial\": %.2f, \
-         \"bit_identical\": %b }%s\n"
-        depth s bits
-        (float_of_int rounds /. s)
-        (serial_s /. s) identical
-        (if i = List.length legs - 1 then "" else ",");
-      Format.printf
-        "  depth %d: %.3f s wall (%.2fx vs serial), %d distilled bits, \
-         bit-identical %b@."
-        depth s (serial_s /. s) bits identical)
-    legs;
-  bpf "  ],\n";
-  bpf "  \"bit_identical_all\": %b,\n" identical_all;
-  bpf "  \"best_speedup_vs_serial\": %.2f\n" best_speedup;
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@.bit-identical %b, best speedup %.2fx@." out
-    identical_all best_speedup;
-  if not identical_all then begin
-    Format.eprintf
-      "FAIL: a pipelined leg is not bit-identical to the serial engine@.";
-    exit 1
-  end
-
 (* ==== "kms" preset (PR 8): key-distribution-as-a-service over the
    metro mesh ==== *)
 
@@ -1381,10 +1260,12 @@ let bench_kms ~quick ~out () =
    bounded under overflow, a seeded run's dump fingerprint must be
    deterministic (and survive a save/load round trip), and the
    recorder must not perturb the two invariants earlier PRs committed
-   to: pipelined bit-identity and the batched dataplane's 16
-   words/packet allocation budget. -- *)
+   to: seeded bit-identity and the batched dataplane's 16 words/packet
+   allocation budget. -- *)
 
 module Recorder = Qkd_obs.Recorder
+module Key_pool = Qkd_protocol.Key_pool
+module Auth = Qkd_protocol.Auth
 
 (* Recorder overhead on the engine hot path: the interleaved loop of
    [measure_obs_overhead], but both legs keep Control enabled (metric
@@ -1471,6 +1352,46 @@ let flight_dump ~rounds ~pulses =
 
 let flight_dump_file = "blackbox_flight.bbox"
 
+(* Everything observable about a finished engine run: the per-round
+   results plus the terminal engine state.  [Key_pool.consume] drains
+   the delivered bits so pool contents — not just counts — are
+   compared. *)
+let engine_run_fingerprint engine results =
+  let drain p =
+    let n = Key_pool.available p in
+    (n, Key_pool.consume p n)
+  in
+  ( results,
+    drain (Engine.alice_pool engine),
+    drain (Engine.bob_pool engine),
+    Auth.consumed_bits (Engine.alice_auth engine),
+    Auth.consumed_bits (Engine.bob_auth engine),
+    Auth.replenished_bits (Engine.alice_auth engine),
+    Auth.replenished_bits (Engine.bob_auth engine),
+    Engine.last_qber engine,
+    Engine.rounds_completed engine,
+    Engine.rounds_failed engine )
+
+(* One seeded serial run in a fresh recorder with recording switched
+   [recording]; returns the run's fingerprint and the events the
+   recorder took in. *)
+let recorded_run ~recording ~rounds ~pulses =
+  let r = Recorder.create () in
+  let fp =
+    Recorder.with_recorder r (fun () ->
+        Recorder.set_recording recording;
+        Fun.protect
+          ~finally:(fun () -> Recorder.set_recording true)
+          (fun () ->
+            let engine = Engine.create ~seed:2003L Engine.default_config in
+            let acc = ref [] in
+            for _ = 1 to rounds do
+              acc := Engine.run_round engine ~pulses :: !acc
+            done;
+            engine_run_fingerprint engine (List.rev !acc)))
+  in
+  (fp, Recorder.emitted r)
+
 let bench_flight ~quick ~out () =
   let rounds = 40 in
   Format.printf "flight: engine recorder overhead (%d rounds x2, median of 3)...@."
@@ -1496,28 +1417,23 @@ let bench_flight ~quick ~out () =
     Recorder.fingerprint (Recorder.load flight_dump_file) = fp1
   in
   let fingerprint_deterministic = fp1 = fp2 in
-  let pipeline_rounds = if quick then 2 else 6 in
-  let pipeline_pulses = 1_000_000 in
+  let identity_rounds = if quick then 2 else 6 in
+  let identity_pulses = 1_000_000 in
   Format.printf
-    "flight: pipelined bit-identity with recorder on (%d rounds x %d pulses)...@."
-    pipeline_rounds pipeline_pulses;
+    "flight: bit-identity, recording on vs off (%d rounds x %d pulses)...@."
+    identity_rounds identity_pulses;
+  let fp_on, emitted_on =
+    recorded_run ~recording:true ~rounds:identity_rounds
+      ~pulses:identity_pulses
+  in
+  let fp_off, _ =
+    recorded_run ~recording:false ~rounds:identity_rounds
+      ~pulses:identity_pulses
+  in
+  (* The comparison only means something if the "on" leg recorded. *)
+  let bit_identical = emitted_on = identity_rounds && fp_on = fp_off in
   let with_fresh_recorder f =
     Recorder.with_recorder (Recorder.create ()) f
-  in
-  let serial_fp, _, _ =
-    with_fresh_recorder (fun () ->
-        pipeline_leg ~depth:1 ~rounds:pipeline_rounds ~pulses:pipeline_pulses)
-  in
-  let bit_identical =
-    List.for_all
-      (fun depth ->
-        let fp, _, _ =
-          with_fresh_recorder (fun () ->
-              pipeline_leg ~depth ~rounds:pipeline_rounds
-                ~pulses:pipeline_pulses)
-        in
-        fp = serial_fp)
-      [ 2; 4 ]
   in
   Format.printf "flight: dataplane allocation budget with recorder on...@.";
   (* Same configuration as the PR 7 alloc gate (64B, single flow),
@@ -1581,7 +1497,8 @@ let bench_flight ~quick ~out () =
   end;
   if not bit_identical then begin
     Format.eprintf
-      "FAIL: pipelined run with recorder on is not bit-identical to serial@.";
+      "FAIL: engine run with recording on is not bit-identical to recording \
+       off@.";
     fail := true
   end;
   if not words_ok then begin
@@ -1672,20 +1589,6 @@ let () =
       in
       let quick, out = parse ~quick:false ~out:"BENCH_pr7.json" rest in
       bench_dataplane ~quick ~out ()
-  | "pipeline" :: rest ->
-      let rec parse ~quick ~out = function
-        | [] -> (quick, out)
-        | "--quick" :: tl -> parse ~quick:true ~out tl
-        | "--out" :: file :: tl -> parse ~quick ~out:file tl
-        | arg :: _ ->
-            Format.eprintf
-              "unknown pipeline option %S; usage: main.exe pipeline [--quick] \
-               [--out FILE]@."
-              arg;
-            exit 1
-      in
-      let quick, out = parse ~quick:false ~out:"BENCH_pr9.json" rest in
-      bench_pipeline ~quick ~out ()
   | "kms" :: rest ->
       let rec parse ~quick ~out = function
         | [] -> (quick, out)
@@ -1721,7 +1624,7 @@ let () =
           Format.eprintf "unknown experiment %S; available: %s@." name
             (String.concat ", "
                ("micro" :: "tables" :: "obs" :: "json" :: "campaign"
-              :: "dataplane" :: "kms" :: "pipeline" :: "flight"
+              :: "dataplane" :: "kms" :: "flight"
               :: Experiments.names));
           exit 1)
   | _ ->

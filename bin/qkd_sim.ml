@@ -66,10 +66,9 @@ let finish ~metrics ~metrics_out ~monitor ~now rc =
 (* -- link subcommand -- *)
 
 let run_link metrics metrics_out health pulses length_km mu eve_fraction
-    beamsplit seed domains rounds pipeline_depth =
+    beamsplit seed domains rounds =
   if domains < 1 then failwith "--domains must be >= 1";
   if rounds < 1 then failwith "--rounds must be >= 1";
-  if pipeline_depth < 1 then failwith "--pipeline-depth must be >= 1";
   let monitor = make_monitor health in
   tick_monitor monitor ~now:0.0;
   let eve =
@@ -95,7 +94,7 @@ let run_link metrics metrics_out health pulses length_km mu eve_fraction
     }
   in
   let engine = Engine.create ~seed:(Int64.of_int seed) engine_config in
-  if rounds = 1 && pipeline_depth = 1 then
+  if rounds = 1 then
     (match Engine.run_round engine ~pulses with
     | Ok m ->
         Format.printf "%a@." Engine.pp_round_metrics m;
@@ -107,28 +106,25 @@ let run_link metrics metrics_out health pulses length_km mu eve_fraction
           Format.printf "eve actually knew %d sifted bits@." m.Engine.eve_known_sifted_bits
     | Error f -> Format.printf "round failed: %a@." Engine.pp_failure f)
   else begin
-    (* Multi-round: run the staged pipeline and print one line per
-       round plus the aggregate.  Depth 1 is the serial reference;
-       any depth yields bit-identical output (see Engine.run_rounds). *)
     let distilled = ref 0 and sifted = ref 0 and elapsed = ref 0.0 in
-    Engine.run_rounds ~pipeline_depth engine ~rounds ~pulses (fun result ->
-        match result with
-        | Ok m ->
-            distilled := !distilled + m.Engine.distilled_bits;
-            sifted := !sifted + m.Engine.sifted_bits;
-            elapsed := !elapsed +. m.Engine.elapsed_s;
-            Format.printf
-              "round %d: sifted %d, QBER %.4f, distilled %d bits@."
-              (Engine.rounds_attempted engine)
-              m.Engine.sifted_bits m.Engine.qber m.Engine.distilled_bits
-        | Error f ->
-            Format.printf "round %d failed: %a@."
-              (Engine.rounds_attempted engine)
-              Engine.pp_failure f);
+    for _ = 1 to rounds do
+      match Engine.run_round engine ~pulses with
+      | Ok m ->
+          distilled := !distilled + m.Engine.distilled_bits;
+          sifted := !sifted + m.Engine.sifted_bits;
+          elapsed := !elapsed +. m.Engine.elapsed_s;
+          Format.printf "round %d: sifted %d, QBER %.4f, distilled %d bits@."
+            (Engine.rounds_attempted engine)
+            m.Engine.sifted_bits m.Engine.qber m.Engine.distilled_bits
+      | Error f ->
+          Format.printf "round %d failed: %a@."
+            (Engine.rounds_attempted engine)
+            Engine.pp_failure f
+    done;
     Format.printf
-      "%d rounds (depth %d): %d completed, %d failed; sifted %d bits, \
-       distilled %d bits over %.2f simulated s@."
-      rounds pipeline_depth
+      "%d rounds: %d completed, %d failed; sifted %d bits, distilled %d bits \
+       over %.2f simulated s@."
+      rounds
       (Engine.rounds_completed engine)
       (Engine.rounds_failed engine)
       !sifted !distilled !elapsed;
@@ -170,21 +166,11 @@ let link_cmd =
       value & opt int 1
       & info [ "rounds" ] ~doc:"Protocol rounds to run back to back.")
   in
-  let pipeline_depth =
-    Arg.(
-      value & opt int 1
-      & info [ "pipeline-depth" ]
-          ~doc:
-            "Rounds in flight through the staged distillation pipeline \
-             (link/EC/PA on separate domains); the result is bit-identical \
-             for any depth.")
-  in
   Cmd.v
     (Cmd.info "link" ~doc:"Run QKD protocol rounds over a simulated link")
     Term.(
       const run_link $ metrics_arg $ metrics_out_arg $ health_arg $ pulses
-      $ length $ mu $ eve $ beamsplit $ seed $ domains $ rounds
-      $ pipeline_depth)
+      $ length $ mu $ eve $ beamsplit $ seed $ domains $ rounds)
 
 (* -- vpn subcommand -- *)
 

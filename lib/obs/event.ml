@@ -1,9 +1,9 @@
 (* The wide event: one canonical record per unit of work — an engine
-   round, a pipeline stage, a KMS request resolution, a scheduler
-   delivery attempt, a (sampled) ESP batch, a campaign step.  Metrics
-   aggregate these away; the flight recorder keeps the last N of them
-   verbatim so a post-mortem can reconstruct the seconds before an
-   alarm rather than just the counter totals after it.
+   round, a KMS request resolution, a scheduler delivery attempt, a
+   (sampled) ESP batch, a campaign step.  Metrics aggregate these away;
+   the flight recorder keeps the last N of them verbatim so a
+   post-mortem can reconstruct the seconds before an alarm rather than
+   just the counter totals after it.
 
    The schema is deliberately flat and Marshal-friendly (no closures,
    no custom blocks) so dumps survive the CRC-framed Checkpoint idiom.
@@ -11,7 +11,7 @@
    string, 0, nan — rather than options, keeping construction
    allocation-light on hot paths. *)
 
-type source = Round | Stage | Kms | Sched | Esp | Mark
+type source = Round | Kms | Sched | Esp | Mark
 
 type t = {
   seq : int;  (** global commit order across all rings *)
@@ -30,7 +30,6 @@ type t = {
 
 let source_label = function
   | Round -> "round"
-  | Stage -> "stage"
   | Kms -> "kms"
   | Sched -> "sched"
   | Esp -> "esp"
@@ -38,7 +37,6 @@ let source_label = function
 
 let source_of_label = function
   | "round" -> Some Round
-  | "stage" -> Some Stage
   | "kms" -> Some Kms
   | "sched" -> Some Sched
   | "esp" -> Some Esp

@@ -1,10 +1,10 @@
 (** The wide event: one canonical, Marshal-friendly record per unit of
-    work (engine round, pipeline stage, KMS request, scheduler
-    delivery, sampled ESP batch, campaign step).  Emitted into the
-    flight {!Recorder}'s per-domain rings; the fixed schema keeps
-    post-mortem queries uniform across subsystems. *)
+    work (engine round, KMS request, scheduler delivery, sampled ESP
+    batch, campaign step).  Emitted into the flight {!Recorder}'s
+    per-site rings; the fixed schema keeps post-mortem queries uniform
+    across subsystems. *)
 
-type source = Round | Stage | Kms | Sched | Esp | Mark
+type source = Round | Kms | Sched | Esp | Mark
 
 type t = {
   seq : int;  (** global commit order, assigned by the recorder *)

@@ -35,27 +35,21 @@ type t = {
 }
 
 (* Fixed lane map: one lane per single-writer instrumentation site.
-   The three stage lanes are written by the pipeline's stage domains;
-   everything else is written from the coordinating domain. *)
-let lane_count = 8
+   Every current site writes from the coordinating domain; separate
+   lanes keep one busy site from evicting another's trail. *)
+let lane_count = 5
 let lane_engine = 0  (* round commits, in commit order *)
-let lane_link = 1
-let lane_ec = 2
-let lane_pa = 3
-let lane_net = 4  (* scheduler delivery attempts *)
-let lane_kms = 5
-let lane_esp = 6  (* sampled gateway batches *)
-let lane_scenario = 7
+let lane_net = 1  (* scheduler delivery attempts *)
+let lane_kms = 2
+let lane_esp = 3  (* sampled gateway batches *)
+let lane_scenario = 4
 
 let lane_label = function
   | 0 -> "engine"
-  | 1 -> "link"
-  | 2 -> "ec"
-  | 3 -> "pa"
-  | 4 -> "net"
-  | 5 -> "kms"
-  | 6 -> "esp"
-  | 7 -> "scenario"
+  | 1 -> "net"
+  | 2 -> "kms"
+  | 3 -> "esp"
+  | 4 -> "scenario"
   | n -> string_of_int n
 
 let default_capacity = 2048
@@ -160,7 +154,9 @@ let snapshot ?(window_s = 0.0) ?(now = 0.0) ?(reason = "manual") t =
   { reason; at_s = now; window_s; events; spans = Trace.spans ();
     dropped = dropped t }
 
-let magic = "QKDBBOX\x01"
+(* Bumped whenever [Event.t]'s Marshal layout changes, so an old dump
+   fails loudly instead of decoding one source as another. *)
+let magic = "QKDBBOX\x02"
 
 let to_bytes d =
   let payload = Marshal.to_bytes d [] in

@@ -23,9 +23,6 @@ val capacity : t -> int
 val lane_count : int
 val lane_engine : int  (** round commits, in commit order *)
 
-val lane_link : int
-val lane_ec : int
-val lane_pa : int
 val lane_net : int  (** scheduler delivery attempts *)
 
 val lane_kms : int

@@ -1,6 +1,5 @@
 module Bitstring = Qkd_util.Bitstring
 module Rng = Qkd_util.Rng
-module Chan = Qkd_util.Chan
 module Link = Qkd_photonics.Link
 module Eve = Qkd_photonics.Eve
 module Obs = Qkd_obs
@@ -146,19 +145,19 @@ let ( let* ) = Result.bind
       (seeded)      (seeded)       (seeded)      (ordered)
 
    Each stage is a function of its inputs and a per-round seed derived
-   from one submission-order draw on the engine RNG, never of the
-   engine's mutable state — except the EC stage, which consumes the
-   running QBER estimate as an explicit chained value.  That makes the
-   stages safe to run on worker domains with several rounds in flight
-   while staying bit-identical to the serial path: the serial
-   [run_round] is these same kernels called back-to-back. *)
+   from one draw on the engine RNG, never of the engine's mutable
+   state — except the EC stage, which consumes the running QBER
+   estimate as an explicit chained value.  All side effects live in
+   [commit_round], so a round's result depends only on the engine
+   state at its start and its seed, whatever the link's domain
+   count. *)
 
 type seeds = { link_seed : int64; ec_seed : int64; pa_seed : int64 }
 
-(* One submission-order draw per round, fanned into independent
-   streams with [Rng.derive] — the anchor of the determinism contract.
-   Pipelined and serial execution draw identical round seeds because
-   both draw exactly once per round, in round order. *)
+(* One draw per round, in round order, fanned into independent streams
+   with [Rng.derive] — the anchor of the determinism contract.  A
+   kernel that changes its own draw order cannot shift another stage's
+   stream or a later round's seed. *)
 let derive_seeds round_seed =
   {
     link_seed = Rng.int64 (Rng.derive round_seed 1L);
@@ -315,9 +314,7 @@ let per_simulated_second n elapsed_s =
 
 (* The commit applies a round's side effects — authentication spend,
    auth replenishment, pool fill, the QBER chain — against the engine
-   state.  Under the pipeline this runs on the submitting domain, in
-   round order, one round at a time: out-of-order stage completion can
-   never reorder side effects because they all live here. *)
+   state.  They all live here, so the kernels above stay pure. *)
 let commit_round ~tamper t (l : linked) (r : reconciled)
     (p : amplified option) ~next_qber =
   t.last_qber <- next_qber;
@@ -402,28 +399,6 @@ let commit_round ~tamper t (l : linked) (r : reconciled)
       eve_known_sifted_bits = l.eve_known;
     }
 
-(* [durs], when given, receives the wall-clock stage latencies
-   (link/ec/pa/commit) for the flight recorder's round event.  Timing
-   uses the Trace clock only — no RNG, no engine state — so recording
-   never perturbs the seeded bit stream. *)
-let run_round_bare ?durs ~tamper t ~pulses =
-  let seeds = derive_seeds (Rng.int64 t.rng) in
-  let timed i f =
-    match durs with
-    | None -> f ()
-    | Some d ->
-        let t0 = Obs.Trace.now () in
-        let r = f () in
-        d.(i) <- Float.max 0.0 (Obs.Trace.now () -. t0);
-        r
-  in
-  let l = timed 0 (fun () -> stage_link t.config ~pulses ~seeds) in
-  let r, next_qber =
-    timed 1 (fun () -> stage_ec t.config ~estimated_qber:t.last_qber ~seeds l)
-  in
-  let p = timed 2 (fun () -> stage_pa ~seeds l r) in
-  timed 3 (fun () -> commit_round ~tamper t l r p ~next_qber)
-
 let failure_reason = function
   | Auth_exhausted -> "auth_exhausted"
   | Auth_tampered -> "auth_tampered"
@@ -474,9 +449,8 @@ let observe_round (m : round_metrics) =
     m.distilled_bps;
   Trace.record_sim "engine_round" m.elapsed_s
 
-(* Book-keeping shared by the serial and pipelined paths: the
-   completed/failed counters (engine state and registry) and the
-   completed-round series. *)
+(* Book-keeping for one attempted round: the completed/failed counters
+   (engine state and registry) and the completed-round series. *)
 let record_outcome t = function
   | Ok m ->
       t.rounds_completed <- t.rounds_completed + 1;
@@ -489,16 +463,15 @@ let record_outcome t = function
            ~help:"Protocol rounds aborted, by failure reason")
 
 (* The round's wide event: one record per attempted round, emitted
-   into the engine lane after the outcome is booked (serial path) or
-   at in-order commit (pipelined path), so lane order IS commit
-   order.  [stage_s] = wall latencies [link; ec; pa; commit]. *)
-let emit_round_event ~recorder ~id ~trace ~durs res =
+   into the engine lane after the outcome is booked, so lane order IS
+   commit order.  [stage_s] = wall latencies [link; ec; pa; commit]. *)
+let emit_round_event ~id ~trace ~durs res =
   let qber, bits, verdict =
     match res with
     | Ok m -> (m.qber, m.distilled_bits, "ok")
     | Error f -> (Float.nan, 0, failure_reason f)
   in
-  Obs.Recorder.emit recorder ~lane:Obs.Recorder.lane_engine
+  Obs.Recorder.record ~lane:Obs.Recorder.lane_engine
     (Obs.Event.make ~source:Obs.Event.Round ~id ~trace ~stage_s:durs ~qber
        ~bits ~verdict ())
 
@@ -513,338 +486,30 @@ let run_round ?(tamper = false) ?(trace = Obs.Trace.null_id) t ~pulses =
     if trace = Obs.Trace.null_id then Obs.Trace.null_id
     else Obs.Trace.span_begin ~parent:trace "engine_round"
   in
+  (* Wall-clock stage latencies for the round event.  Timing uses the
+     Trace clock only — no RNG, no engine state — so recording never
+     perturbs the seeded bit stream. *)
   let durs = Array.make 4 0.0 in
-  let finish res =
-    record_outcome t res;
-    emit_round_event ~recorder:(Obs.Recorder.default ())
-      ~id:(t.rounds_completed + t.rounds_failed)
-      ~trace:span ~durs res
+  let timed i f =
+    let t0 = Obs.Trace.now () in
+    let r = f () in
+    durs.(i) <- Float.max 0.0 (Obs.Trace.now () -. t0);
+    r
   in
-  match run_round_bare ~durs ~tamper t ~pulses with
+  let seeds = derive_seeds (Rng.int64 t.rng) in
+  let l = timed 0 (fun () -> stage_link t.config ~pulses ~seeds) in
+  let r, next_qber =
+    timed 1 (fun () -> stage_ec t.config ~estimated_qber:t.last_qber ~seeds l)
+  in
+  let p = timed 2 (fun () -> stage_pa ~seeds l r) in
+  let res = timed 3 (fun () -> commit_round ~tamper t l r p ~next_qber) in
+  record_outcome t res;
+  emit_round_event ~id:(rounds_attempted t) ~trace:span ~durs res;
+  (match res with
   | Ok m ->
-      finish (Ok m);
       Obs.Trace.span_note span "qber" (Printf.sprintf "%.4f" m.qber);
       Obs.Trace.span_note span "distilled_bits"
-        (string_of_int m.distilled_bits);
-      Obs.Trace.span_end span;
-      Ok m
-  | Error f ->
-      finish (Error f);
-      Obs.Trace.span_note span "failed" (failure_reason f);
-      Obs.Trace.span_end span;
-      Error f
-
-(* ---- Pipelined runner ----------------------------------------------
-
-   link+sift, EC+entropy and PA each get a worker domain, connected by
-   bounded channels whose capacity is the in-flight depth; the calling
-   domain submits rounds (drawing each round seed in round order) and
-   commits results (applying side effects in round order).  FIFO
-   channels + single-worker stages mean rounds exit in submission
-   order, so the commit log IS round order by construction. *)
-
-(* [durs] rides the slot through the pipeline: each stage domain
-   writes its own wall latency at a distinct index (the channel
-   handoff publishes the write), and the committing domain adds the
-   commit latency before the round's wide event is emitted. *)
-type 'a slot = {
-  idx : int;
-  seeds : seeds;
-  payload : ('a, exn) result;
-  durs : float array;  (** [link; ec; pa; commit] wall seconds *)
-}
-
-(* Registry creation mutates a Hashtbl and Histogram is plain-mutable,
-   so every metric a worker (or the concurrently committing caller)
-   can touch must exist before the first spawn; afterwards workers
-   only look up existing handles, and each histogram is written by
-   exactly one domain (link spans by the link worker, cascade by the
-   EC worker, throughput series by the committing caller). *)
-let ensure_pipeline_metrics (config : config) =
-  let open Obs in
-  let counter ?labels name help =
-    ignore (Registry.counter ?labels name ~help : Counter.t)
-  in
-  let gauge ?labels name help =
-    ignore (Registry.gauge ?labels name ~help : Gauge.t)
-  in
-  let histogram ?labels ?buckets name help =
-    ignore (Registry.histogram ?labels ?buckets name ~help : Histogram.t)
-  in
-  let sim_span name =
-    ignore
-      (Registry.histogram ~buckets:Histogram.default_sim_buckets
-         ~labels:[ ("span", name) ] Trace.sim_metric
-        : Histogram.t)
-  in
-  let wall_span name =
-    ignore
-      (Registry.histogram ~buckets:Histogram.default_time_buckets
-         ~labels:[ ("span", name) ] Trace.wall_metric
-        : Histogram.t)
-  in
-  (* photonics layer (link worker) — help strings must match the
-     originating sites so first-creation-wins keeps exports stable *)
-  counter "photonics_pulses_total" "Optical pulses emitted by Alice's source";
-  counter "photonics_gated_pulses_total"
-    "Pulses in frames whose annunciation arrived (Bob gated)";
-  counter "photonics_detections_total"
-    "Gates on which at least one of Bob's APDs fired";
-  counter "photonics_double_clicks_total"
-    "Gates on which both APDs fired (discarded by sifting)";
-  counter "photonics_dark_counts_total"
-    "Clicks attributable to dark counts alone";
-  counter "photonics_frames_lost_total"
-    "Transmission frames lost to missed annunciation";
-  if config.link.Link.stabilization <> None then begin
-    gauge "photonics_stabilization_phase_error_rad"
-      "Interferometer phase error at end of last run (abs, rad)";
-    counter "photonics_stabilization_corrections_total"
-      "Optical-process-control servo actuations"
-  end;
-  sim_span "link_run";
-  (* EC worker *)
-  (match config.ec with
-  | Ec_cascade ->
-      counter "cascade_reconciliations_total" "Cascade reconciliation runs";
-      counter "cascade_errors_corrected_total"
-        "Bit errors fixed by Cascade bisection";
-      counter "cascade_disclosed_bits_total"
-        "Parity bits Cascade disclosed on the public channel";
-      counter "cascade_channel_bytes_total"
-        "Cascade bytes on the classical channel";
-      histogram "cascade_rounds" ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32. |]
-        "Reconciliation passes used per run"
-  | Ec_parity_checks -> ());
-  (* PA worker *)
-  counter "pa_amplifications_total" "Privacy-amplification runs";
-  counter "pa_distilled_bits_total" "Bits output by privacy amplification";
-  (* committing caller *)
-  counter "engine_rounds_total" "Protocol rounds attempted";
-  List.iter
-    (fun reason ->
-      counter
-        ~labels:[ ("reason", failure_reason reason) ]
-        "engine_rounds_failed" "Protocol rounds aborted, by failure reason")
-    [ Auth_exhausted; Auth_tampered; Ec_not_verified ];
-  counter "protocol_sifted_bits_total"
-    "Sifted bits accumulated over completed rounds";
-  counter "protocol_errors_corrected_total"
-    "Bit errors corrected by error correction";
-  counter "protocol_disclosed_bits_total"
-    "Parity bits disclosed on the public channel";
-  counter "protocol_distilled_bits_total"
-    "Distilled key bits delivered to the key pools";
-  counter "protocol_auth_bits_consumed_total"
-    "Wegman-Carter authentication bits spent";
-  counter "protocol_channel_bytes_total"
-    "Bytes exchanged on the classical channel";
-  histogram "protocol_qber_ratio" ~buckets:Histogram.ratio_buckets
-    "Per-round quantum bit error rate";
-  histogram "protocol_sifted_bps" ~buckets:Histogram.size_buckets
-    "Per-round sifted throughput (bits per simulated second)";
-  histogram "protocol_distilled_bps" ~buckets:Histogram.size_buckets
-    "Per-round distilled throughput (bits per simulated second)";
-  sim_span "engine_round";
-  (* wall spans are only created when obs is live ([Trace.with_span]
-     short-circuits otherwise), so mirror that to keep registry
-     cardinality identical to a serial run *)
-  if Control.enabled () then begin
-    List.iter wall_span
-      [ "engine_link"; "engine_sift"; "engine_ec"; "engine_pa";
-        "engine_commit" ];
-    (match config.ec with
-    | Ec_cascade -> wall_span "cascade"
-    | Ec_parity_checks -> ());
-    wall_span "privacy_amp"
-  end;
-  (* pipeline's own health series *)
-  gauge "engine_pipeline_depth"
-    "Configured in-flight depth of the staged distillation pipeline";
-  gauge "engine_pipeline_inflight"
-    "Rounds currently in flight in the staged pipeline";
-  List.iter
-    (fun stage ->
-      gauge
-        ~labels:[ ("stage", stage) ]
-        "engine_stage_busy" "1 while the pipeline stage is processing a round";
-      counter
-        ~labels:[ ("stage", stage) ]
-        "engine_stage_rounds_total" "Rounds processed per pipeline stage")
-    [ "link"; "ec"; "pa"; "commit" ]
-
-(* One worker domain: drain [input], apply [f] under the stage's
-   busy/throughput instruments, forward to [output] preserving order,
-   and propagate channel close downstream.  A slot that arrives
-   poisoned (an upstream stage raised) is forwarded untouched so the
-   caller sees the error in round order. *)
-let stage_domain ~recorder ~lane ~stage_index ~stage ~input ~output f =
-  Domain.spawn @@ fun () ->
-  let open Obs in
-  let busy = Registry.gauge "engine_stage_busy" ~labels:[ ("stage", stage) ] in
-  let processed =
-    Registry.counter "engine_stage_rounds_total" ~labels:[ ("stage", stage) ]
-  in
-  let rec loop () =
-    match Chan.recv input with
-    | None -> Chan.close output
-    | Some slot ->
-        Gauge.set busy 1.0;
-        let payload =
-          match slot.payload with
-          | Error _ as e -> e
-          | Ok x -> (
-              let t0 = Trace.now () in
-              match f slot.seeds x with
-              | y ->
-                  let dt = Float.max 0.0 (Trace.now () -. t0) in
-                  slot.durs.(stage_index) <- dt;
-                  (* This domain is the lane's only writer; the stage
-                     event mirrors the work just finished so a
-                     post-mortem can see where a slow round spent its
-                     time even if it never commits. *)
-                  Recorder.emit recorder ~lane
-                    (Event.make ~source:Event.Stage ~id:slot.idx
-                       ~stage_s:[| dt |]
-                       ~labels:[ ("stage", stage) ]
-                       ());
-                  Ok y
-              | exception e -> Error e)
-        in
-        Gauge.set busy 0.0;
-        Counter.incr processed;
-        Chan.send output { slot with payload };
-        loop ()
-  in
-  loop ()
-
-let run_rounds ?(tamper = false) ?(pipeline_depth = 1) t ~rounds ~pulses f =
-  if rounds < 0 then invalid_arg "Engine.run_rounds: rounds must be >= 0";
-  if pipeline_depth < 1 then
-    invalid_arg "Engine.run_rounds: pipeline_depth must be >= 1";
-  let depth = min pipeline_depth (max 1 rounds) in
-  if rounds = 0 then ()
-  else if depth = 1 then
-    for _ = 1 to rounds do
-      f (run_round ~tamper t ~pulses)
-    done
-  else begin
-    let open Obs in
-    ensure_pipeline_metrics t.config;
-    Gauge.set (Registry.gauge "engine_pipeline_depth") (float_of_int depth);
-    let config = t.config in
-    let q0 = Chan.create ~capacity:depth in
-    let q1 = Chan.create ~capacity:depth in
-    let q2 = Chan.create ~capacity:depth in
-    let q3 = Chan.create ~capacity:depth in
-    (* The EC worker owns the QBER chain while the pipeline runs —
-       seeded from the engine state here, written back round-by-round
-       at commit so the engine after a pipelined batch is
-       indistinguishable from after the same batch run serially. *)
-    let qber_chain = ref t.last_qber in
-    (* Captured once, pre-spawn: stage domains must not race a
-       mid-run [Recorder.use] swap on the coordinating domain. *)
-    let recorder = Recorder.default () in
-    let w_link =
-      stage_domain ~recorder ~lane:Recorder.lane_link ~stage_index:0
-        ~stage:"link" ~input:q0 ~output:q1 (fun seeds () ->
-          stage_link config ~pulses ~seeds)
-    in
-    let w_ec =
-      stage_domain ~recorder ~lane:Recorder.lane_ec ~stage_index:1 ~stage:"ec"
-        ~input:q1 ~output:q2 (fun seeds l ->
-          let r, next_qber =
-            stage_ec config ~estimated_qber:!qber_chain ~seeds l
-          in
-          qber_chain := next_qber;
-          (l, r, next_qber))
-    in
-    let w_pa =
-      stage_domain ~recorder ~lane:Recorder.lane_pa ~stage_index:2 ~stage:"pa"
-        ~input:q2 ~output:q3 (fun seeds (l, r, next_qber) ->
-          (l, r, stage_pa ~seeds l r, next_qber))
-    in
-    let inflight = Registry.gauge "engine_pipeline_inflight" in
-    let commit_busy =
-      Registry.gauge "engine_stage_busy" ~labels:[ ("stage", "commit") ]
-    in
-    let commit_count =
-      Registry.counter "engine_stage_rounds_total"
-        ~labels:[ ("stage", "commit") ]
-    in
-    let submitted = ref 0 and drained = ref 0 in
-    let closed = ref false in
-    let close_input () =
-      if not !closed then begin
-        closed := true;
-        Chan.close q0
-      end
-    in
-    let submit () =
-      if !submitted < rounds then begin
-        incr submitted;
-        Chan.send q0
-          {
-            idx = !submitted;
-            seeds = derive_seeds (Rng.int64 t.rng);
-            payload = Ok ();
-            durs = Array.make 4 0.0;
-          };
-        Gauge.set inflight (float_of_int (!submitted - !drained))
-      end;
-      if !submitted >= rounds then close_input ()
-    in
-    let abort = ref None in
-    let poison e = if !abort = None then abort := Some e in
-    for _ = 1 to depth do
-      submit ()
-    done;
-    (* Drain/commit loop.  After a poison (stage exception or callback
-       exception) no further round commits and no further round is
-       submitted, but every in-flight slot is still drained so the
-       workers can run to completion and join. *)
-    while !drained < !submitted do
-      match Chan.recv q3 with
-      | None ->
-          (* unreachable while slots are in flight: q3 closes only
-             after the workers drain everything upstream *)
-          drained := !submitted
-      | Some slot ->
-          incr drained;
-          assert (slot.idx = !drained);
-          Gauge.set inflight (float_of_int (!submitted - !drained));
-          (match (slot.payload, !abort) with
-          | Error e, _ -> poison e
-          | Ok _, Some _ -> ()
-          | Ok (l, r, p, next_qber), None -> (
-              Gauge.set commit_busy 1.0;
-              Counter.incr
-                (Registry.counter "engine_rounds_total"
-                   ~help:"Protocol rounds attempted");
-              match
-                let t0 = Trace.now () in
-                let res =
-                  Trace.with_span "engine_commit" (fun () ->
-                      commit_round ~tamper t l r p ~next_qber)
-                in
-                slot.durs.(3) <- Float.max 0.0 (Trace.now () -. t0);
-                record_outcome t res;
-                emit_round_event ~recorder ~id:slot.idx
-                  ~trace:Trace.null_id ~durs:slot.durs res;
-                Counter.incr commit_count;
-                Gauge.set commit_busy 0.0;
-                f res
-              with
-              | () -> ()
-              | exception e ->
-                  Gauge.set commit_busy 0.0;
-                  poison e));
-          if !abort = None then submit () else close_input ()
-    done;
-    close_input ();
-    Gauge.set inflight 0.0;
-    Domain.join w_link;
-    Domain.join w_ec;
-    Domain.join w_pa;
-    match !abort with None -> () | Some e -> raise e
-  end
+        (string_of_int m.distilled_bits)
+  | Error f -> Obs.Trace.span_note span "failed" (failure_reason f));
+  Obs.Trace.span_end span;
+  res

@@ -97,37 +97,16 @@ val set_link : t -> Qkd_photonics.Link.config -> unit
     must catch it and the round is discarded.  [trace] is a causal
     parent span: when non-null, the round records an [engine_round]
     child span annotated with its QBER and distilled bits (or failure
-    reason). *)
+    reason).
+
+    Reproducibility: the round's randomness comes from one draw on the
+    engine RNG fanned out with [Rng.derive], so for a given seed every
+    [round_metrics] field, both key pools, both auth pools and the
+    running QBER estimate are bit-identical for any [link_mode] domain
+    count. *)
 val run_round :
   ?tamper:bool -> ?trace:Qkd_obs.Trace.id -> t -> pulses:int ->
   (round_metrics, failure) result
-
-(** [run_rounds ?tamper ?pipeline_depth t ~rounds ~pulses f] plays
-    [rounds] batches and hands each round's result to [f] in round
-    order.
-
-    [pipeline_depth = 1] (the default) is exactly [rounds] successive
-    {!run_round} calls.  Greater depths run the staged distillation
-    pipeline: link+sifting, error correction+entropy estimation, and
-    privacy amplification each execute on their own OCaml domain with
-    up to [pipeline_depth] rounds in flight, while the calling domain
-    submits rounds and commits side effects (auth spend/replenish,
-    pool fill, the running QBER estimate) strictly in round order.
-
-    Reproducibility contract (matches the PR 2 link contract): each
-    round's randomness comes from one submission-order draw on the
-    engine RNG fanned out with [Rng.derive], so results — every
-    [round_metrics] field, both key pools, both auth pools, and the
-    running QBER estimate — are bit-identical to the serial path for
-    any [pipeline_depth] and any [link_mode] domain count.
-
-    An exception raised by a stage or by [f] stops submission; already
-    in-flight rounds are drained without committing, the workers are
-    joined, and the exception is re-raised.
-    @raise Invalid_argument if [rounds < 0] or [pipeline_depth < 1]. *)
-val run_rounds :
-  ?tamper:bool -> ?pipeline_depth:int -> t -> rounds:int -> pulses:int ->
-  ((round_metrics, failure) result -> unit) -> unit
 
 (** Distilled key delivered so far, per end.  The two pools always
     hold identical bits (that is the point of the system); they are

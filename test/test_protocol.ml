@@ -787,7 +787,7 @@ let test_engine_channel_bytes_metered () =
   | Ok m -> check "bytes counted" true (m.Engine.channel_bytes > 1000)
   | Error f -> Alcotest.failf "round failed: %a" Engine.pp_failure f
 
-(* -- Staged pipeline + engine bugfix regressions -- *)
+(* -- Staged kernels + engine bugfix regressions -- *)
 
 (* A Cascade config that corrects nothing but still runs the full
    verification stage: any round with errors deterministically fails
@@ -880,19 +880,15 @@ let run_serial config ~seed ~rounds ~pulses ~tamper =
   done;
   (eng, List.rev !acc)
 
-let run_pipelined config ~seed ~rounds ~pulses ~tamper ~depth =
-  let eng = Engine.create ~seed config in
-  let acc = ref [] in
-  Engine.run_rounds ~tamper ~pipeline_depth:depth eng ~rounds ~pulses (fun r ->
-      acc := r :: !acc);
-  (eng, List.rev !acc)
-
-let prop_pipeline_bit_identical =
+(* Frame sharding must not change anything the engine commits: the
+   same seeded rounds at one link domain and at two or three, with Eve
+   on and off. *)
+let prop_link_domains_bit_identical =
   QCheck.Test.make ~count:8
-    ~name:"pipelined engine bit-identical to serial (any depth/domains/Eve)"
-    QCheck.(quad (int_bound 1000) (int_range 2 5) (int_range 1 3) bool)
-    (fun (seed, depth, domains, eve) ->
-      let config =
+    ~name:"link-domain invariance"
+    QCheck.(triple (int_bound 1000) (int_range 2 3) bool)
+    (fun (seed, domains, eve) ->
+      let config domains =
         {
           Engine.default_config with
           Engine.link =
@@ -905,40 +901,37 @@ let prop_pipeline_bit_identical =
       in
       let seed = Int64.of_int ((seed * 13) + 11) in
       let rounds = 4 and pulses = 60_000 in
-      let e1, r1 = run_serial config ~seed ~rounds ~pulses ~tamper:false in
-      let e2, r2 = run_pipelined config ~seed ~rounds ~pulses ~tamper:false ~depth in
+      let e1, r1 = run_serial (config 1) ~seed ~rounds ~pulses ~tamper:false in
+      let e2, r2 =
+        run_serial (config domains) ~seed ~rounds ~pulses ~tamper:false
+      in
       r1 = r2 && engine_state_fingerprint e1 = engine_state_fingerprint e2)
 
-let test_pipeline_aborted_round_commits_nothing () =
-  (* rounds killed in flight (tampered tags) must leave the engine
-     exactly as the serial failure path does: no pool fill, no auth
-     replenishment, failure counters only *)
-  let rounds = 3 and pulses = 200_000 in
-  let eng, piped =
-    run_pipelined Engine.default_config ~seed:2003L ~rounds ~pulses
-      ~tamper:true ~depth:3
+let test_aborted_round_commits_nothing () =
+  (* tampered rounds are caught at commit: no pool fill, no auth
+     replenishment, and only the failure counter advances *)
+  let rounds = 3 in
+  let eng, results =
+    run_serial Engine.default_config ~seed:2003L ~rounds ~pulses:200_000
+      ~tamper:true
   in
-  check_int "three results" rounds (List.length piped);
+  check_int "three results" rounds (List.length results);
   List.iter
     (function
       | Error Engine.Auth_tampered -> ()
       | Ok _ -> Alcotest.fail "tampered round completed"
       | Error f -> Alcotest.failf "unexpected failure: %a" Engine.pp_failure f)
-    piped;
+    results;
   check_int "no key committed (alice)" 0
     (Key_pool.available (Engine.alice_pool eng));
   check_int "no key committed (bob)" 0
     (Key_pool.available (Engine.bob_pool eng));
-  check_int "nothing replenished" 0
+  check_int "nothing replenished (alice)" 0
     (Auth.replenished_bits (Engine.alice_auth eng));
+  check_int "nothing replenished (bob)" 0
+    (Auth.replenished_bits (Engine.bob_auth eng));
   check_int "no round completed" 0 (Engine.rounds_completed eng);
-  check_int "all rounds failed" rounds (Engine.rounds_failed eng);
-  let e_serial, r_serial =
-    run_serial Engine.default_config ~seed:2003L ~rounds ~pulses ~tamper:true
-  in
-  check "identical to the serial tamper run" true
-    (piped = r_serial
-    && engine_state_fingerprint eng = engine_state_fingerprint e_serial)
+  check_int "all rounds failed" rounds (Engine.rounds_failed eng)
 
 let () =
   Alcotest.run "qkd_protocol"
@@ -1093,8 +1086,8 @@ let () =
             test_engine_zero_elapsed_round_guarded;
           Alcotest.test_case "round counters reconcile" `Slow
             test_engine_round_counters_reconcile;
-          qcheck prop_pipeline_bit_identical;
-          Alcotest.test_case "aborted in-flight round commits nothing" `Slow
-            test_pipeline_aborted_round_commits_nothing;
+          qcheck prop_link_domains_bit_identical;
+          Alcotest.test_case "aborted round commits nothing" `Slow
+            test_aborted_round_commits_nothing;
         ] );
     ]

@@ -548,53 +548,6 @@ let test_hex_invalid () =
   Alcotest.check_raises "bad char" (Invalid_argument "Hex.decode: non-hex character")
     (fun () -> ignore (Qkd_util.Hex.decode "zz"))
 
-(* -- Chan: the bounded cross-domain pipe under the engine pipeline -- *)
-
-let test_chan_fifo_across_domains () =
-  let c = Qkd_util.Chan.create ~capacity:4 in
-  let n = 1000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to n do
-          Qkd_util.Chan.send c i
-        done;
-        Qkd_util.Chan.close c)
-  in
-  let rec drain expected =
-    match Qkd_util.Chan.recv c with
-    | None -> expected - 1
-    | Some v ->
-        check_int "in order" expected v;
-        drain (expected + 1)
-  in
-  let last = drain 1 in
-  Domain.join producer;
-  check_int "all received" n last
-
-let test_chan_close_semantics () =
-  let c = Qkd_util.Chan.create ~capacity:2 in
-  Qkd_util.Chan.send c 1;
-  Qkd_util.Chan.send c 2;
-  Qkd_util.Chan.close c;
-  check "drains after close" true (Qkd_util.Chan.recv c = Some 1);
-  check "drains after close 2" true (Qkd_util.Chan.recv c = Some 2);
-  check "then empty" true (Qkd_util.Chan.recv c = None);
-  Alcotest.check_raises "send on closed raises" Qkd_util.Chan.Closed (fun () ->
-      Qkd_util.Chan.send c 3);
-  Alcotest.check_raises "capacity validated"
-    (Invalid_argument "Chan.create: capacity must be >= 1") (fun () ->
-      ignore (Qkd_util.Chan.create ~capacity:0 : int Qkd_util.Chan.t))
-
-let test_chan_blocking_send_bounded () =
-  (* a full channel blocks the producer until the consumer drains *)
-  let c = Qkd_util.Chan.create ~capacity:1 in
-  Qkd_util.Chan.send c 0;
-  let producer = Domain.spawn (fun () -> Qkd_util.Chan.send c 1) in
-  check "first out" true (Qkd_util.Chan.recv c = Some 0);
-  check "unblocked producer's value" true (Qkd_util.Chan.recv c = Some 1);
-  Domain.join producer;
-  check_int "empty again" 0 (Qkd_util.Chan.length c)
-
 let () =
   Alcotest.run "qkd_util"
     [
@@ -697,13 +650,5 @@ let () =
           Alcotest.test_case "crc32 detects flip" `Quick test_crc32_detects_flip;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
           Alcotest.test_case "hex invalid" `Quick test_hex_invalid;
-        ] );
-      ( "chan",
-        [
-          Alcotest.test_case "fifo across domains" `Quick
-            test_chan_fifo_across_domains;
-          Alcotest.test_case "close semantics" `Quick test_chan_close_semantics;
-          Alcotest.test_case "blocking send bounded" `Quick
-            test_chan_blocking_send_bounded;
         ] );
     ]
