@@ -4,11 +4,8 @@
      dune exec bench/main.exe -- e6      -- one experiment
      dune exec bench/main.exe -- micro   -- Bechamel microbenches only
      dune exec bench/main.exe -- tables  -- experiment tables only
-     dune exec bench/main.exe -- obs     -- telemetry overhead check
-     dune exec bench/main.exe -- json [--quick] [--out FILE]
-                                         -- machine-readable bench record
-     dune exec bench/main.exe -- campaign [--quick] [--out FILE]
-                                         -- adversarial campaign matrix record
+     dune exec bench/main.exe -- <preset> [--quick] [--out FILE]
+                                         -- one gated JSON record ([presets])
 
    Pass --metrics anywhere to dump the telemetry registry at exit. *)
 
@@ -156,240 +153,204 @@ let microbenches () =
   in
   List.iter run tests
 
-(* Telemetry overhead: the acceptance gate for instrumenting the hot
-   path.  Runs Engine.run_round at 10k pulses with the registry live
-   and with Qkd_obs.Control disabled, and reports the wall-clock
-   delta — which must stay under 5%. *)
-let measure_obs_overhead ~rounds =
-  let time_rounds ~enabled =
-    Qkd_obs.Control.set_enabled enabled;
-    (* fresh registry so the enabled run pays creation cost too *)
-    let r = Qkd_obs.Registry.create () in
-    Qkd_obs.Registry.with_registry r (fun () ->
-        let engine =
-          Qkd_protocol.Engine.create ~seed:2003L
-            Qkd_protocol.Engine.default_config
-        in
-        (* warm-up round outside the timed region *)
-        ignore (Qkd_protocol.Engine.run_round engine ~pulses:10_000);
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to rounds do
-          ignore (Qkd_protocol.Engine.run_round engine ~pulses:10_000)
-        done;
-        Unix.gettimeofday () -. t0)
-  in
-  (* interleave to be fair to CPU frequency drift *)
-  let disabled1 = time_rounds ~enabled:false in
-  let enabled1 = time_rounds ~enabled:true in
-  let enabled2 = time_rounds ~enabled:true in
-  let disabled2 = time_rounds ~enabled:false in
-  Qkd_obs.Control.set_enabled true;
-  (enabled1 +. enabled2, disabled1 +. disabled2)
+(* ==== Gated JSON records ====
 
-(* Alert-engine overhead: the same interleaved protocol-round loop,
-   with and without a default health monitor ticking (series sampling
-   + rule evaluation) once per round.  The PR-5 gate: ratio < 1.05. *)
-let measure_alert_overhead ~rounds =
-  let time ~with_monitor =
-    let r = Qkd_obs.Registry.create () in
-    Qkd_obs.Registry.with_registry r (fun () ->
-        let engine =
-          Qkd_protocol.Engine.create ~seed:2003L
-            Qkd_protocol.Engine.default_config
-        in
-        let monitor =
-          if with_monitor then Some (Qkd_obs.Health.default ()) else None
-        in
-        Option.iter (fun m -> Qkd_obs.Health.tick m ~now:0.0) monitor;
-        ignore (Qkd_protocol.Engine.run_round engine ~pulses:10_000);
-        let t0 = Unix.gettimeofday () in
-        for i = 1 to rounds do
-          ignore (Qkd_protocol.Engine.run_round engine ~pulses:10_000);
-          Option.iter
-            (fun m -> Qkd_obs.Health.tick m ~now:(float_of_int i))
-            monitor
-        done;
-        Unix.gettimeofday () -. t0)
-  in
-  let without1 = time ~with_monitor:false in
-  let with1 = time ~with_monitor:true in
-  let with2 = time ~with_monitor:true in
-  let without2 = time ~with_monitor:false in
-  (with1 +. with2) /. (without1 +. without2)
-
-(* Eavesdropper-alarm determinism: the same seed with and without an
-   intercept-resend Eve.  The Wilson-bounded QBER rule must fire on
-   the attacked run and stay silent on the clean one. *)
-let qber_alarm_fires eve =
-  let r = Qkd_obs.Registry.create () in
-  Qkd_obs.Registry.with_registry r (fun () ->
-      let base = Qkd_protocol.Engine.default_config in
-      let config =
-        {
-          base with
-          Qkd_protocol.Engine.link =
-            { base.Qkd_protocol.Engine.link with Qkd_photonics.Link.eve };
-        }
-      in
-      let engine = Qkd_protocol.Engine.create ~seed:2003L config in
-      let monitor = Qkd_obs.Health.default () in
-      Qkd_obs.Health.tick monitor ~now:0.0;
-      for i = 1 to 4 do
-        ignore (Qkd_protocol.Engine.run_round engine ~pulses:50_000);
-        Qkd_obs.Health.tick monitor ~now:(float_of_int i)
-      done;
-      Qkd_obs.Alert.is_firing (Qkd_obs.Health.engine monitor) "qber_above_budget")
-
-let obs_overhead () =
-  let rounds = 40 in
-  let enabled, disabled = measure_obs_overhead ~rounds in
-  let overhead = (enabled -. disabled) /. disabled *. 100.0 in
-  Format.printf
-    "@.==== Telemetry overhead (Engine.run_round, 10k pulses x %d) ====@.@.\
-     instrumentation disabled: %8.2f ms/round@.\
-     instrumentation enabled:  %8.2f ms/round@.\
-     overhead:                 %+8.2f %%  (budget: < 5%%)@."
-    (2 * rounds)
-    (disabled /. float_of_int (2 * rounds) *. 1e3)
-    (enabled /. float_of_int (2 * rounds) *. 1e3)
-    overhead;
-  if overhead >= 5.0 then begin
-    Format.printf "FAIL: overhead budget exceeded@.";
-    exit 1
-  end
-
-(* -- Recorded bench trajectory: machine-readable numbers every future
-   PR extends.  `main.exe -- json [--quick] [--out FILE]` writes the
-   link fast-path timings (reference vs batched x domain count, with a
-   bit-identity check across domain counts), a seeded protocol round's
-   throughput, and the telemetry overhead ratio.  The obs gate applies
-   here too: a ratio >= 1.05 fails the run. -- *)
+   A preset runs one experiment and returns the members of its JSON
+   record and its gates; [run_preset] writes the record, then checks
+   the gates.  Every bound a gate checks is one named value, shared
+   with the JSON bool that reports it. *)
 
 module Link = Qkd_photonics.Link
 module Engine = Qkd_protocol.Engine
+module Recorder = Qkd_obs.Recorder
 
+(* A gate: its name, whether it held, and what it measured. *)
+type gate = string * bool * string
+
+(* Wall-clock overhead bound of the instrumentation, the alert engine
+   and the flight recorder (engine and KMS legs). *)
+let overhead_bound = 1.05
+
+(* The adversarial campaign harness: monitor live vs Control off. *)
+let campaign_overhead_bound = 1.10
+
+let ratio_gate name ratio bound : gate =
+  (name, ratio < bound, Printf.sprintf "ratio %.4f, bound < %.2f" ratio bound)
+
+let seconds f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+(* Best-of-[reps] wall time of [f], with the last run's result. *)
 let time_best ~reps f =
-  let best = ref infinity in
-  let result = ref None in
+  let result = ref None and best = ref infinity in
   for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
+    best := Float.min !best (seconds (fun () -> result := Some (f ())))
   done;
   (Option.get !result, !best)
 
-let bench_json ~quick ~out () =
+(* The wall-clock cost of a feature: [run ~on] times one leg with the
+   feature on or off and returns seconds.  After a warm-up leg, off and
+   on legs alternate [reps] times (fair to CPU frequency drift) and the
+   ratio is min(on) / min(off): noise only ever adds time, so the best
+   leg of each mode is the steadiest estimate.  Each leg starts from a
+   compacted heap, so no leg pays for another's garbage. *)
+let overhead_ratio ~reps ~run =
+  let leg on =
+    Gc.compact ();
+    run ~on
+  in
+  ignore (leg false);
+  let best_off = ref infinity and best_on = ref infinity in
+  for _ = 1 to reps do
+    best_off := Float.min !best_off (leg false);
+    best_on := Float.min !best_on (leg true)
+  done;
+  !best_on /. !best_off
+
+let with_control on f =
+  Qkd_obs.Control.set_enabled on;
+  Fun.protect ~finally:(fun () -> Qkd_obs.Control.set_enabled true) f
+
+let with_recording on f =
+  Recorder.set_recording on;
+  Fun.protect ~finally:(fun () -> Recorder.set_recording true) f
+
+(* The engine-loop overhead legs (telemetry, alert engine, engine
+   recorder): [engine_rounds] timed Engine.run_round calls at 10k
+   pulses after one untimed round, in a fresh registry so an
+   instrumented leg pays metric creation too.  [setup] runs first, in
+   that registry, and returns a hook called after each timed round.
+   --quick runs keep the full count: shorter legs are too noisy to
+   gate. *)
+let engine_rounds = 40
+let engine_reps = 10
+
+let engine_leg ?(setup = fun () _ -> ()) () =
+  Qkd_obs.Registry.with_registry (Qkd_obs.Registry.create ()) (fun () ->
+      let hook = setup () in
+      let engine = Engine.create ~seed:2003L Engine.default_config in
+      ignore (Engine.run_round engine ~pulses:10_000);
+      seconds (fun () ->
+          for i = 1 to engine_rounds do
+            ignore (Engine.run_round engine ~pulses:10_000);
+            hook i
+          done))
+
+(* Telemetry overhead: the engine loop with Qkd_obs.Control on vs off. *)
+let obs_overhead_ratio () =
+  Format.printf "instrumentation overhead (%d rounds, best of %d)...@."
+    engine_rounds engine_reps;
+  overhead_ratio ~reps:engine_reps ~run:(fun ~on ->
+      with_control on (fun () -> engine_leg ()))
+
+(* ---- "json": link fast-path timings (reference vs batched x
+   domain count, with a bit-identity check across domain counts), a
+   seeded protocol round's throughput, and the telemetry overhead. ---- *)
+
+let same_link_result (a : Link.result) (b : Link.result) =
+  Bs.equal a.alice_bases b.alice_bases
+  && Bs.equal a.alice_values b.alice_values
+  && a.detections = b.detections
+  && a.frames_lost = b.frames_lost
+  && a.gated_pulses = b.gated_pulses
+
+let link_run ~reps pulses =
+  Format.printf "link %d pulses: reference...@." pulses;
+  let _, ref_s =
+    time_best ~reps (fun () ->
+        Link.run ~seed:42L ~mode:Link.Reference Link.darpa_default ~pulses)
+  in
+  let batched =
+    List.map
+      (fun domains ->
+        Format.printf "link %d pulses: batched x%d domains...@." pulses domains;
+        let r, s =
+          time_best ~reps (fun () ->
+              Link.run ~seed:42L ~mode:(Link.Batched { domains })
+                Link.darpa_default ~pulses)
+        in
+        (domains, s, r))
+      [ 1; 2; 4 ]
+  in
+  let _, _, first = List.hd batched in
+  let identical =
+    List.for_all (fun (_, _, r) -> same_link_result r first) batched
+  in
+  let pps s = Json.Float (0, float_of_int pulses /. s) in
+  ( Json.(
+      Obj
+        [
+          ("pulses", Int pulses);
+          ("reference_s", Float (6, ref_s));
+          ("reference_pulses_per_s", pps ref_s);
+          ("bit_identical_across_domains", Bool identical);
+          ( "batched",
+            List
+              (List.map
+                 (fun (domains, s, _) ->
+                   Obj
+                     [
+                       ("domains", Int domains);
+                       ("seconds", Float (6, s));
+                       ("pulses_per_s", pps s);
+                       ("speedup_vs_reference", Float (2, ref_s /. s));
+                     ])
+                 batched) );
+        ]),
+    ( "bit_identical_across_domains",
+      identical,
+      Printf.sprintf "batched link at %d pulses, 1/2/4 domains" pulses ) )
+
+let bench_json ~quick =
   let reps = if quick then 1 else 3 in
   let sizes = if quick then [ 100_000 ] else [ 100_000; 1_000_000 ] in
-  let domain_counts = [ 1; 2; 4 ] in
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"pr\": 2,\n";
-  bpf "  \"preset\": %S,\n" (if quick then "quick" else "full");
-  (* Parallel speedup is only observable with real cores: on a 1-core
-     container the extra domains time-slice and pay minor-GC
-     rendezvous, so record the hardware so readers can interpret the
-     batched rows. *)
-  bpf "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
-  bpf "  \"link_run\": [\n";
-  List.iteri
-    (fun i pulses ->
-      Format.printf "link %d pulses: reference...@." pulses;
-      let _, ref_s =
-        time_best ~reps (fun () ->
-            Link.run ~seed:42L ~mode:Link.Reference Link.darpa_default ~pulses)
-      in
-      let batched =
-        List.map
-          (fun domains ->
-            Format.printf "link %d pulses: batched x%d domains...@." pulses
-              domains;
-            let r, s =
-              time_best ~reps (fun () ->
-                  Link.run ~seed:42L
-                    ~mode:(Link.Batched { domains })
-                    Link.darpa_default ~pulses)
-            in
-            (domains, s, r))
-          domain_counts
-      in
-      let first = match batched with (_, _, r) :: _ -> r | [] -> assert false in
-      let identical =
-        List.for_all
-          (fun (_, _, r) ->
-            Bs.equal r.Link.alice_bases first.Link.alice_bases
-            && Bs.equal r.Link.alice_values first.Link.alice_values
-            && r.Link.detections = first.Link.detections
-            && r.Link.frames_lost = first.Link.frames_lost
-            && r.Link.gated_pulses = first.Link.gated_pulses)
-          batched
-      in
-      bpf "    {\n      \"pulses\": %d,\n      \"reference_s\": %.6f,\n"
-        pulses ref_s;
-      bpf "      \"reference_pulses_per_s\": %.0f,\n"
-        (float_of_int pulses /. ref_s);
-      bpf "      \"bit_identical_across_domains\": %b,\n" identical;
-      bpf "      \"batched\": [\n";
-      List.iteri
-        (fun j (domains, s, _) ->
-          bpf
-            "        { \"domains\": %d, \"seconds\": %.6f, \"pulses_per_s\": \
-             %.0f, \"speedup_vs_reference\": %.2f }%s\n"
-            domains s
-            (float_of_int pulses /. s)
-            (ref_s /. s)
-            (if j < List.length batched - 1 then "," else ""))
-        batched;
-      bpf "      ]\n    }%s\n" (if i < List.length sizes - 1 then "," else "");
-      if not identical then begin
-        Format.eprintf
-          "FAIL: batched results differ across domain counts at %d pulses@."
-          pulses;
-        exit 1
-      end)
-    sizes;
-  bpf "  ],\n";
+  let runs = List.map (link_run ~reps) sizes in
   let engine_pulses = if quick then 100_000 else 500_000 in
   Format.printf "engine round: %d pulses...@." engine_pulses;
   let engine = Engine.create ~seed:2003L Engine.default_config in
-  (match Engine.run_round engine ~pulses:engine_pulses with
-  | Ok m ->
-      bpf "  \"engine_round\": {\n";
-      bpf "    \"pulses\": %d,\n" m.Engine.pulses;
-      bpf "    \"gated_pulses\": %d,\n" m.Engine.gated_pulses;
-      bpf "    \"sifted_bits\": %d,\n" m.Engine.sifted_bits;
-      bpf "    \"distilled_bits\": %d,\n" m.Engine.distilled_bits;
-      bpf "    \"qber\": %.5f,\n" m.Engine.qber;
-      bpf "    \"sifted_bps\": %.1f,\n" m.Engine.sifted_bps;
-      bpf "    \"distilled_bps\": %.1f\n" m.Engine.distilled_bps;
-      bpf "  },\n"
-  | Error f ->
-      Format.eprintf "FAIL: seeded engine round failed: %a@." Engine.pp_failure f;
-      exit 1);
-  Format.printf "telemetry overhead...@.";
-  let enabled, disabled =
-    measure_obs_overhead ~rounds:(if quick then 10 else 40)
+  let round, round_gate =
+    match Engine.run_round engine ~pulses:engine_pulses with
+    | Ok m ->
+        ( Json.(
+            Obj
+              [
+                ("pulses", Int m.Engine.pulses);
+                ("gated_pulses", Int m.gated_pulses);
+                ("sifted_bits", Int m.sifted_bits);
+                ("distilled_bits", Int m.distilled_bits);
+                ("qber", Float (5, m.qber));
+                ("sifted_bps", Float (1, m.sifted_bps));
+                ("distilled_bps", Float (1, m.distilled_bps));
+              ]),
+          ("engine_round", true, "seeded round completed") )
+    | Error f ->
+        ( Json.Null,
+          ( "engine_round",
+            false,
+            Format.asprintf "seeded round failed: %a" Engine.pp_failure f ) )
   in
-  let ratio = enabled /. disabled in
-  bpf "  \"obs_overhead_ratio\": %.4f\n" ratio;
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." out;
-  if ratio >= 1.05 then begin
-    Format.eprintf "FAIL: obs overhead ratio %.4f >= 1.05@." ratio;
-    exit 1
-  end
+  let ratio = obs_overhead_ratio () in
+  ( Json.
+      [
+        (* Parallel speedup is only observable with real cores: on a
+           1-core container the extra domains time-slice and pay
+           minor-GC rendezvous, so record the hardware so readers can
+           interpret the batched rows. *)
+        ("recommended_domains", Int (Domain.recommended_domain_count ()));
+        ("link_run", List (List.map fst runs));
+        ("engine_round", round);
+        ("obs_overhead_ratio", Float (4, ratio));
+      ],
+    round_gate
+    :: ratio_gate "obs_overhead_ratio" ratio overhead_bound
+    :: List.map snd runs )
 
-(* -- PR 4 resilience record: the failure-churn experiment, no-retry
-   baseline vs resilient scheduler on the same seed, written as
-   machine-readable JSON.  The acceptance gates run here too: the
-   resilient delivery ratio must strictly exceed the baseline's, and
-   both runs must conserve pad bits exactly. -- *)
+(* ---- "resilience": the failure-churn experiment, no-retry
+   baseline vs resilient scheduler on the same seed.  The resilient
+   delivery ratio must strictly exceed the baseline's, and both runs
+   must conserve pad bits exactly. ---- *)
 
 module Topology = Qkd_net.Topology
 module Relay = Qkd_net.Relay
@@ -414,88 +375,84 @@ let churn_record ~quick scheduler =
   in
   Failure.churn ~seed:77L relay cfg
 
-let bench_resilience ~quick ~out () =
+let churn_json (r : Failure.churn_report) =
+  Json.(
+    Obj
+      [
+        ("submitted", Int r.submitted);
+        ("delivered", Int r.delivered);
+        ("gave_up", Int r.gave_up);
+        ("retries", Int r.retries);
+        ("reroutes", Int r.reroutes);
+        ("link_failures", Int r.link_failures);
+        ("delivery_ratio", Float (4, r.delivery_ratio));
+        ("p50_latency_s", Float (4, r.p50_latency_s));
+        ("p95_latency_s", Float (4, r.p95_latency_s));
+        ("consumed_bits", Int r.consumed_bits);
+        ("expected_consumed_bits", Int r.expected_consumed_bits);
+        ("conservation_ok", Bool r.conservation_ok);
+        ("slo_attainment", Float (6, r.slo_attainment));
+        ("alerts_fired", Int r.alerts_fired);
+      ])
+
+let bench_resilience ~quick =
   Format.printf "churn baseline (no retry, static routes)...@.";
   let base = churn_record ~quick None in
   Format.printf "churn resilient (scheduler + key-aware reroute)...@.";
   let res = churn_record ~quick (Some Scheduler.default_config) in
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"pr\": 4,\n";
-  bpf "  \"preset\": %S,\n" (if quick then "quick" else "full");
-  let record label (r : Failure.churn_report) =
-    bpf "  %S: {\n" label;
-    bpf "    \"submitted\": %d,\n" r.Failure.submitted;
-    bpf "    \"delivered\": %d,\n" r.Failure.delivered;
-    bpf "    \"gave_up\": %d,\n" r.Failure.gave_up;
-    bpf "    \"retries\": %d,\n" r.Failure.retries;
-    bpf "    \"reroutes\": %d,\n" r.Failure.reroutes;
-    bpf "    \"link_failures\": %d,\n" r.Failure.link_failures;
-    bpf "    \"delivery_ratio\": %.4f,\n" r.Failure.delivery_ratio;
-    bpf "    \"p50_latency_s\": %.4f,\n" r.Failure.p50_latency_s;
-    bpf "    \"p95_latency_s\": %.4f,\n" r.Failure.p95_latency_s;
-    bpf "    \"consumed_bits\": %d,\n" r.Failure.consumed_bits;
-    bpf "    \"expected_consumed_bits\": %d,\n" r.Failure.expected_consumed_bits;
-    bpf "    \"conservation_ok\": %b,\n" r.Failure.conservation_ok;
-    bpf "    \"slo_attainment\": %.6f,\n" r.Failure.slo_attainment;
-    bpf "    \"alerts_fired\": %d\n" r.Failure.alerts_fired;
-    bpf "  },\n"
-  in
-  record "baseline" base;
-  record "resilient" res;
-  bpf "  \"resilient_beats_baseline\": %b\n"
-    (res.Failure.delivery_ratio > base.Failure.delivery_ratio);
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf
-    "wrote %s@.baseline ratio %.4f, resilient ratio %.4f (%d retries, %d \
-     reroutes, %d link failures)@."
-    out base.Failure.delivery_ratio res.Failure.delivery_ratio
-    res.Failure.retries res.Failure.reroutes res.Failure.link_failures;
-  if res.Failure.delivery_ratio <= base.Failure.delivery_ratio then begin
-    Format.eprintf "FAIL: resilient delivery ratio does not beat baseline@.";
-    exit 1
-  end;
-  if not (base.Failure.conservation_ok && res.Failure.conservation_ok) then begin
-    Format.eprintf "FAIL: pad conservation violated@.";
-    exit 1
-  end
+  let beats = res.delivery_ratio > base.delivery_ratio in
+  ( [
+      ("baseline", churn_json base);
+      ("resilient", churn_json res);
+      ("resilient_beats_baseline", Json.Bool beats);
+    ],
+    [
+      ( "resilient_beats_baseline",
+        beats,
+        Printf.sprintf "delivery ratio %.4f resilient vs %.4f baseline"
+          res.delivery_ratio base.delivery_ratio );
+      ( "conservation_ok",
+        base.conservation_ok && res.conservation_ok,
+        Printf.sprintf "pad conservation: baseline %b, resilient %b"
+          base.conservation_ok res.conservation_ok );
+    ] )
 
-(* -- PR 5 health-monitoring record: instrumentation + alert-engine
-   overhead ratios, the eavesdropper-alarm separation (attacked run
-   fires, clean run on the same seed stays silent), and the churn SLO
-   cross-check (the alert engine's windowed attainment must equal the
-   scheduler's exact delivered/submitted counts).  All four are
-   acceptance gates: any miss exits non-zero. -- *)
+(* ---- "obs": instrumentation and alert-engine overhead, the
+   eavesdropper-alarm separation (attacked run fires, clean run on the
+   same seed stays silent), and the churn SLO cross-check (the alert
+   engine's windowed attainment must equal the scheduler's exact
+   delivered/submitted count). ---- *)
 
-let median3 a b c =
-  match List.sort compare [ a; b; c ] with
-  | [ _; m; _ ] -> m
-  | _ -> assert false
+(* The same seed with and without an intercept-resend Eve: the
+   Wilson-bounded QBER rule must fire on the attacked run only. *)
+let qber_alarm_fires eve =
+  Qkd_obs.Registry.with_registry (Qkd_obs.Registry.create ()) (fun () ->
+      let base = Engine.default_config in
+      let config = { base with link = { base.link with Link.eve } } in
+      let engine = Engine.create ~seed:2003L config in
+      let monitor = Qkd_obs.Health.default () in
+      Qkd_obs.Health.tick monitor ~now:0.0;
+      for i = 1 to 4 do
+        ignore (Engine.run_round engine ~pulses:50_000);
+        Qkd_obs.Health.tick monitor ~now:(float_of_int i)
+      done;
+      Qkd_obs.Alert.is_firing (Qkd_obs.Health.engine monitor) "qber_above_budget")
 
-let bench_obs ~quick ~out () =
-  (* The overhead gates need stable timings even in --quick CI runs, so
-     they always use the full round count and a median of three
-     interleaved measurements; --quick only shortens the churn run. *)
-  let rounds = 40 in
-  Format.printf "instrumentation overhead (%d rounds x2, median of 3)...@."
-    rounds;
-  let obs_ratio =
-    let once () =
-      let enabled, disabled = measure_obs_overhead ~rounds in
-      enabled /. disabled
-    in
-    median3 (once ()) (once ()) (once ())
-  in
-  Format.printf "alert-engine overhead (%d rounds x2, median of 3)...@." rounds;
+let bench_obs ~quick =
+  let obs_ratio = obs_overhead_ratio () in
+  Format.printf "alert-engine overhead (%d rounds, best of %d)...@."
+    engine_rounds engine_reps;
   let alert_ratio =
-    median3
-      (measure_alert_overhead ~rounds)
-      (measure_alert_overhead ~rounds)
-      (measure_alert_overhead ~rounds)
+    overhead_ratio ~reps:engine_reps ~run:(fun ~on ->
+        let setup () =
+          if on then begin
+            let m = Qkd_obs.Health.default () in
+            Qkd_obs.Health.tick m ~now:0.0;
+            fun i -> Qkd_obs.Health.tick m ~now:(float_of_int i)
+          end
+          else fun _ -> ()
+        in
+        engine_leg ~setup ())
   in
   Format.printf "eavesdropper alarm: clean vs intercept-resend, same seed...@.";
   let clean_fired = qber_alarm_fires Qkd_photonics.Eve.Passive in
@@ -504,67 +461,34 @@ let bench_obs ~quick ~out () =
   in
   Format.printf "churn SLO attainment (resilient scheduler)...@.";
   let res = churn_record ~quick (Some Scheduler.default_config) in
-  let exact_ratio =
-    float_of_int res.Failure.delivered /. float_of_int res.Failure.submitted
-  in
-  let slo_matches = res.Failure.slo_attainment = exact_ratio in
-  let buf = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"pr\": 5,\n";
-  bpf "  \"preset\": %S,\n" (if quick then "quick" else "full");
-  bpf "  \"obs_overhead_ratio\": %.4f,\n" obs_ratio;
-  bpf "  \"alert_overhead_ratio\": %.4f,\n" alert_ratio;
-  bpf "  \"qber_alert_fired\": %b,\n" attacked_fired;
-  bpf "  \"clean_alert_fired\": %b,\n" clean_fired;
-  bpf "  \"slo_attainment\": %.6f,\n" res.Failure.slo_attainment;
-  bpf "  \"slo_matches_delivered\": %b,\n" slo_matches;
-  bpf "  \"alerts_fired\": %d\n" res.Failure.alerts_fired;
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf
-    "wrote %s@.obs ratio %.4f, alert ratio %.4f, alarm attacked=%b clean=%b, \
-     slo %.6f (exact %.6f)@."
-    out obs_ratio alert_ratio attacked_fired clean_fired
-    res.Failure.slo_attainment exact_ratio;
-  let fail = ref false in
-  if obs_ratio >= 1.05 then begin
-    Format.eprintf "FAIL: instrumentation overhead ratio %.4f >= 1.05@."
-      obs_ratio;
-    fail := true
-  end;
-  if alert_ratio >= 1.05 then begin
-    Format.eprintf "FAIL: alert-engine overhead ratio %.4f >= 1.05@."
-      alert_ratio;
-    fail := true
-  end;
-  if not attacked_fired then begin
-    Format.eprintf "FAIL: intercept-resend run did not fire the QBER alarm@.";
-    fail := true
-  end;
-  if clean_fired then begin
-    Format.eprintf "FAIL: clean run fired the QBER alarm@.";
-    fail := true
-  end;
-  if not slo_matches then begin
-    Format.eprintf
-      "FAIL: alert-engine SLO attainment %.6f != delivered/submitted %.6f@."
-      res.Failure.slo_attainment exact_ratio;
-    fail := true
-  end;
-  if !fail then exit 1
+  let exact = float_of_int res.delivered /. float_of_int res.submitted in
+  let slo_matches = res.slo_attainment = exact in
+  ( Json.
+      [
+        ("obs_overhead_ratio", Float (4, obs_ratio));
+        ("alert_overhead_ratio", Float (4, alert_ratio));
+        ("qber_alert_fired", Bool attacked_fired);
+        ("clean_alert_fired", Bool clean_fired);
+        ("slo_attainment", Float (6, res.slo_attainment));
+        ("slo_matches_delivered", Bool slo_matches);
+        ("alerts_fired", Int res.alerts_fired);
+      ],
+    [
+      ratio_gate "obs_overhead_ratio" obs_ratio overhead_bound;
+      ratio_gate "alert_overhead_ratio" alert_ratio overhead_bound;
+      ("qber_alert_fired", attacked_fired, "intercept-resend run fires");
+      ("clean_alert_fired", not clean_fired, "clean run stays silent");
+      ( "slo_matches_delivered",
+        slo_matches,
+        Printf.sprintf "attainment %.6f vs delivered/submitted %.6f"
+          res.slo_attainment exact );
+    ] )
 
-(* -- PR 6 adversarial-campaign record: the full attack matrix graded
-   against its detection-latency SLOs (the clean twin of every
-   scenario, same seed, must fire zero alarms), a PNS detectability
-   sweep over the source mean photon number, checkpoint/restore
-   bit-equivalence at mid-run, the long-horizon bounded-memory
-   witness, and the harness overhead ratio (clean campaign with the
-   monitor sampling vs Qkd_obs.Control disabled).  SLO attainment,
-   zero clean alarms, checkpoint equivalence, bounded memory and the
-   overhead ratio are all hard gates. -- *)
+(* ---- "campaign": the attack matrix graded against its
+   detection-latency SLOs (the clean twin of every scenario, same seed,
+   must fire zero alarms), a PNS detectability sweep over the mean
+   photon number, checkpoint/restore bit-equivalence at mid-run, the
+   long-horizon bounded-memory witness, and the harness overhead. ---- *)
 
 module Scenario = Qkd_scenario.Scenario
 module Campaign = Qkd_scenario.Campaign
@@ -604,168 +528,135 @@ let checkpoint_bit_identical () =
   Campaign.fingerprint resumed = Campaign.fingerprint reference
   && Campaign.report resumed = Campaign.report reference
 
-(* Harness overhead: the same clean campaign with the health monitor
-   live and with Qkd_obs.Control disabled (series pushes and metric
-   mutations become no-ops, so the run degenerates to the bare
-   simulation loop).  Interleaved to be fair to CPU frequency drift. *)
-let measure_campaign_overhead () =
-  let spec = Scenario.clean (Scenario.intercept_resend ~quick:true) in
-  let time ~enabled =
-    Qkd_obs.Control.set_enabled enabled;
-    let t0 = Unix.gettimeofday () in
-    ignore (run_campaign spec);
-    Unix.gettimeofday () -. t0
-  in
-  let disabled1 = time ~enabled:false in
-  let enabled1 = time ~enabled:true in
-  let enabled2 = time ~enabled:true in
-  let disabled2 = time ~enabled:false in
-  Qkd_obs.Control.set_enabled true;
-  (enabled1 +. enabled2) /. (disabled1 +. disabled2)
+let secs_or_null = function Some s -> Json.Float (0, s) | None -> Json.Null
 
-let bench_campaign ~quick ~out () =
-  let buf = Buffer.create 8192 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"pr\": 6,\n";
-  bpf "  \"preset\": %S,\n" (if quick then "quick" else "full");
-  let all_within = ref true in
-  let false_alarms = ref 0 in
-  let long_horizon = ref None in
-  (* 1. the attack matrix, each scenario with its clean control twin *)
-  let specs = Scenario.builtins ~quick () in
-  let n = List.length specs in
-  bpf "  \"campaigns\": {\n";
-  List.iteri
-    (fun i spec ->
-      Format.printf "campaign %-22s (attacked + clean twin)...@."
-        spec.Scenario.name;
-      let r = Campaign.report (run_campaign spec) in
-      let rc = Campaign.report (run_campaign (Scenario.clean spec)) in
-      false_alarms := !false_alarms + rc.Campaign.alerts_fired;
-      if spec.Scenario.name = "long-horizon" then long_horizon := Some r;
-      bpf "    %S: {\n" spec.Scenario.name;
-      bpf "      \"steps\": %d,\n" r.Campaign.steps;
-      bpf "      \"rounds_ok\": %d,\n" r.Campaign.rounds_ok;
-      bpf "      \"rounds_failed\": %d,\n" r.Campaign.rounds_failed;
-      bpf "      \"mean_qber\": %.4f,\n" r.Campaign.mean_qber;
-      bpf "      \"alerts_fired\": %d,\n" r.Campaign.alerts_fired;
-      bpf "      \"clean_alerts_fired\": %d,\n" rc.Campaign.alerts_fired;
-      bpf "      \"detections\": [\n";
-      let m = List.length r.Campaign.detections in
-      List.iteri
-        (fun j (d : Campaign.detection) ->
-          if not d.within_slo then all_within := false;
-          bpf "        { \"alarm\": %S, \"injected_at_s\": %.0f,\n" d.alarm
-            d.injected_at_s;
-          (match (d.detected_at_s, d.latency_s) with
-          | Some at, Some lat ->
-              bpf "          \"detected_at_s\": %.0f, \"detection_latency_s\": %.0f,\n"
-                at lat
-          | _ ->
-              bpf "          \"detected_at_s\": null, \"detection_latency_s\": null,\n");
-          bpf "          \"slo_s\": %.0f, \"within_slo\": %b }%s\n" d.slo_s
-            d.within_slo
-            (if j = m - 1 then "" else ","))
-        r.Campaign.detections;
-      bpf "      ]\n";
-      bpf "    }%s\n" (if i = n - 1 then "" else ",");
-      List.iter
-        (fun (d : Campaign.detection) ->
-          Format.printf "  %-24s latency %s (SLO %.0fs) %s@." d.alarm
-            (match d.latency_s with
-            | Some l -> Printf.sprintf "%.0fs" l
-            | None -> "none")
-            d.slo_s
-            (if d.within_slo then "ok" else "MISS"))
-        r.Campaign.detections;
-      Format.printf "  clean twin: %d alarms@." rc.Campaign.alerts_fired)
-    specs;
-  bpf "  },\n";
-  (* 2. PNS detectability vs mean photon number: at the DARPA mu=0.1
-     the beamsplitter steals too few photons to move the detection
-     rate past the 8%% tolerance — recorded, not gated (the gated
+let detection_json (d : Campaign.detection) =
+  Json.(
+    Obj
+      [
+        ("alarm", String d.alarm);
+        ("injected_at_s", Float (0, d.injected_at_s));
+        ("detected_at_s", secs_or_null d.detected_at_s);
+        ("detection_latency_s", secs_or_null d.latency_s);
+        ("slo_s", Float (0, d.slo_s));
+        ("within_slo", Bool d.within_slo);
+      ])
+
+let bench_campaign ~quick =
+  let matrix =
+    List.map
+      (fun spec ->
+        Format.printf "campaign %-22s (attacked + clean twin)...@."
+          spec.Scenario.name;
+        let r = Campaign.report (run_campaign spec) in
+        let rc = Campaign.report (run_campaign (Scenario.clean spec)) in
+        (spec.Scenario.name, r, rc))
+      (Scenario.builtins ~quick ())
+  in
+  (* PNS detectability vs mean photon number: at the DARPA mu=0.1 the
+     beamsplitter steals too few photons to move the detection rate
+     past the 8% tolerance, so this is recorded, not gated (the gated
      mu=0.5 scenario is part of the matrix above). *)
   Format.printf "PNS mu sweep...@.";
-  bpf "  \"pns_mu_sweep\": [\n";
-  let mus = [ 0.1; 0.3; 0.5 ] in
-  List.iteri
-    (fun i mu ->
-      let r =
-        Campaign.report (run_campaign (Scenario.pns_beamsplit ~mu ~quick:true ()))
-      in
-      let latency =
-        match r.Campaign.detections with [ d ] -> d.latency_s | _ -> None
-      in
-      bpf "    { \"mu\": %.1f, \"fired\": %b, \"detection_latency_s\": %s }%s\n"
-        mu (latency <> None)
-        (match latency with Some l -> Printf.sprintf "%.0f" l | None -> "null")
-        (if i = List.length mus - 1 then "" else ",");
-      Format.printf "  mu=%.1f %s@." mu
-        (match latency with
-        | Some l -> Printf.sprintf "detected in %.0fs" l
-        | None -> "not detected"))
-    mus;
-  bpf "  ],\n";
-  (* 3. checkpoint restart-equivalence *)
+  let pns =
+    List.map
+      (fun mu ->
+        let r =
+          Campaign.report
+            (run_campaign (Scenario.pns_beamsplit ~mu ~quick:true ()))
+        in
+        let latency =
+          match r.detections with [ d ] -> d.latency_s | _ -> None
+        in
+        Json.(
+          Obj
+            [
+              ("mu", Float (1, mu));
+              ("fired", Bool (latency <> None));
+              ("detection_latency_s", secs_or_null latency);
+            ]))
+      [ 0.1; 0.3; 0.5 ]
+  in
   Format.printf "checkpoint restore bit-equivalence...@.";
   let ckpt_ok = checkpoint_bit_identical () in
-  (* 4. harness overhead *)
+  (* The same clean campaign with the health monitor live and with
+     Qkd_obs.Control disabled (series pushes and metric mutations become
+     no-ops, so the run degenerates to the bare simulation loop). *)
   Format.printf "harness overhead (monitored vs Control-disabled)...@.";
-  let overhead = median3 (measure_campaign_overhead ())
-      (measure_campaign_overhead ()) (measure_campaign_overhead ()) in
+  let overhead =
+    let spec = Scenario.clean (Scenario.intercept_resend ~quick:true) in
+    overhead_ratio ~reps:5 ~run:(fun ~on ->
+        with_control on (fun () ->
+            seconds (fun () -> ignore (run_campaign spec))))
+  in
   let lh =
-    match !long_horizon with
-    | Some r -> r
+    match List.find_opt (fun (name, _, _) -> name = "long-horizon") matrix with
+    | Some (_, r, _) -> r
     | None -> failwith "long-horizon scenario missing from builtins"
   in
-  let bounded = lh.Campaign.max_series_len <= lh.Campaign.series_capacity in
-  bpf "  \"all_within_slo\": %b,\n" !all_within;
-  bpf "  \"false_alarms_clean_total\": %d,\n" !false_alarms;
-  bpf "  \"checkpoint_restore_bit_identical\": %b,\n" ckpt_ok;
-  bpf "  \"long_horizon_max_series_len\": %d,\n" lh.Campaign.max_series_len;
-  bpf "  \"series_capacity\": %d,\n" lh.Campaign.series_capacity;
-  bpf "  \"bounded_memory\": %b,\n" bounded;
-  bpf "  \"harness_overhead_ratio\": %.4f\n" overhead;
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf
-    "wrote %s@.all within SLO %b, clean false alarms %d, checkpoint \
-     bit-identical %b, bounded memory %b, overhead ratio %.4f@."
-    out !all_within !false_alarms ckpt_ok bounded overhead;
-  let fail = ref false in
-  if not !all_within then begin
-    Format.eprintf "FAIL: an injected attack missed its detection-latency SLO@.";
-    fail := true
-  end;
-  if !false_alarms <> 0 then begin
-    Format.eprintf "FAIL: clean control twins fired %d alarms (want 0)@."
-      !false_alarms;
-    fail := true
-  end;
-  if not ckpt_ok then begin
-    Format.eprintf "FAIL: checkpoint restore is not bit-identical@.";
-    fail := true
-  end;
-  if not bounded then begin
-    Format.eprintf "FAIL: long-horizon series grew past the ring capacity@.";
-    fail := true
-  end;
-  if overhead >= 1.10 then begin
-    Format.eprintf "FAIL: harness overhead ratio %.4f >= 1.10@." overhead;
-    fail := true
-  end;
-  if !fail then exit 1
+  let misses =
+    List.concat_map
+      (fun (name, (r : Campaign.report), _) ->
+        List.filter_map
+          (fun (d : Campaign.detection) ->
+            if d.within_slo then None else Some (name ^ "/" ^ d.alarm))
+          r.detections)
+      matrix
+  in
+  let false_alarms =
+    List.fold_left (fun n (_, _, (rc : Campaign.report)) -> n + rc.alerts_fired) 0 matrix
+  in
+  let bounded = lh.max_series_len <= lh.series_capacity in
+  ( Json.
+      [
+        ( "campaigns",
+          Obj
+            (List.map
+               (fun (name, (r : Campaign.report), (rc : Campaign.report)) ->
+                 ( name,
+                   Obj
+                     [
+                       ("steps", Int r.steps);
+                       ("rounds_ok", Int r.rounds_ok);
+                       ("rounds_failed", Int r.rounds_failed);
+                       ("mean_qber", Float (4, r.mean_qber));
+                       ("alerts_fired", Int r.alerts_fired);
+                       ("clean_alerts_fired", Int rc.alerts_fired);
+                       ("detections", List (List.map detection_json r.detections));
+                     ] ))
+               matrix) );
+        ("pns_mu_sweep", List pns);
+        ("all_within_slo", Bool (misses = []));
+        ("false_alarms_clean_total", Int false_alarms);
+        ("checkpoint_restore_bit_identical", Bool ckpt_ok);
+        ("long_horizon_max_series_len", Int lh.max_series_len);
+        ("series_capacity", Int lh.series_capacity);
+        ("bounded_memory", Bool bounded);
+        ("harness_overhead_ratio", Float (4, overhead));
+      ],
+    [
+      ( "all_within_slo",
+        misses = [],
+        "detections outside their SLO: ["
+        ^ String.concat ", " misses ^ "]" );
+      ( "false_alarms_clean_total",
+        false_alarms = 0,
+        Printf.sprintf "%d alarms, want 0" false_alarms );
+      ("checkpoint_restore_bit_identical", ckpt_ok, "restored = uninterrupted");
+      ( "bounded_memory",
+        bounded,
+        Printf.sprintf "long-horizon series %d <= ring capacity %d"
+          lh.max_series_len lh.series_capacity );
+      ratio_gate "harness_overhead_ratio" overhead campaign_overhead_bound;
+    ] )
 
-(* ==== "dataplane" preset (PR 7): batched zero-allocation ESP
-   forwarding vs the scalar reference path.  Two gateways with
-   directly installed SAs forward synthetic LAN traffic; the batch leg
-   runs entirely in pool buffers through the [_into] kernels, the
-   scalar leg round-trips [Packet.t] values (including the wire
-   serialize/parse at each gateway boundary that the batch path
-   performs implicitly by operating on wire bytes in place). ==== *)
+(* ---- "dataplane": batched zero-allocation ESP forwarding vs
+   the scalar reference path.  Two gateways with directly installed SAs
+   forward synthetic LAN traffic; the batch leg runs entirely in pool
+   buffers through the [_into] kernels, the scalar leg round-trips
+   [Packet.t] values (including the wire serialize/parse at each
+   gateway boundary that the batch path performs implicitly by
+   operating on wire bytes in place). ---- *)
 
 module Gateway = Qkd_ipsec.Gateway
 module Pktbuf = Qkd_ipsec.Pktbuf
@@ -774,6 +665,21 @@ module Sa = Qkd_ipsec.Sa
 module Esp = Qkd_ipsec.Esp
 module Replay = Qkd_ipsec.Replay
 module Ip = Qkd_ipsec.Packet
+
+(* The batched path's committed speedup over the seed scalar path at
+   64B payload. *)
+let dataplane_speedup_bound = 3.0
+
+(* Committed steady-state allocation budget for the batched dataplane:
+   minor-heap words per forwarded packet (encap + decap, single flow).
+   The path is measurably allocation-free — the RNG carries its state
+   in native-int halves and SHA-1 finalization no longer builds a local
+   closure, the last two per-packet allocators — so the single-flow
+   figure is ~0.0 words/pkt.  16 leaves headroom for incidental runtime
+   noise (GC sampling, signal handling) without letting a real
+   per-packet allocation regress in — versus ~1.2k words/pkt on the
+   seed path. *)
+let dataplane_words_budget = 16.0
 
 (* Long enough that the bench never expires an SA mid-run. *)
 let dataplane_lifetime = { Sa.seconds = 1e9; kilobytes = max_int / 2048 }
@@ -836,30 +742,31 @@ let dataplane_traffic ~flows ~payload_len =
   Traffic.create ~seed:711L ~src_net:"10.1.5.0" ~dst_net:"10.2.9.0" ~flows
     ~payload_len ()
 
-(* Scalar leg: pps through outbound/inbound on [Packet.t] values, with
-   the wire boundary crossed explicitly on both hops. *)
-let dataplane_scalar ~payload_len ~flows ~packets =
-  let a, b = dataplane_gateways () in
-  let traffic = dataplane_traffic ~flows ~payload_len in
-  let forward n =
-    for _ = 1 to n do
-      let p = Traffic.next_packet traffic in
-      match Gateway.outbound a ~now:0.0 p with
-      | Gateway.Tunnel outer -> (
-          let wire = Ip.serialize outer in
-          match Gateway.inbound b ~now:0.0 (Ip.parse wire) with
-          | Gateway.Deliver inner -> ignore (Ip.serialize inner)
-          | Gateway.Bypass_in _ | Gateway.Rejected _ ->
-              failwith "dataplane: scalar inbound did not deliver")
-      | Gateway.Bypass _ | Gateway.Dropped _ | Gateway.Need_rekey _ ->
-          failwith "dataplane: scalar outbound did not tunnel"
-    done
-  in
+(* Best-of-[reps] packets/s of [forward packets], after a warm-up
+   tenth. *)
+let best_pps ~reps ~packets forward =
   forward (max 1 (packets / 10));
-  let t0 = Unix.gettimeofday () in
-  forward packets;
-  let dt = Unix.gettimeofday () -. t0 in
-  float_of_int packets /. dt
+  let (), s = time_best ~reps (fun () -> forward packets) in
+  float_of_int packets /. s
+
+(* Scalar leg: outbound/inbound on [Packet.t] values, with the wire
+   boundary crossed explicitly on both hops; single flow. *)
+let dataplane_scalar ~reps ~payload_len ~packets =
+  let a, b = dataplane_gateways () in
+  let traffic = dataplane_traffic ~flows:1 ~payload_len in
+  best_pps ~reps ~packets (fun n ->
+      for _ = 1 to n do
+        let p = Traffic.next_packet traffic in
+        match Gateway.outbound a ~now:0.0 p with
+        | Gateway.Tunnel outer -> (
+            let wire = Ip.serialize outer in
+            match Gateway.inbound b ~now:0.0 (Ip.parse wire) with
+            | Gateway.Deliver inner -> ignore (Ip.serialize inner)
+            | Gateway.Bypass_in _ | Gateway.Rejected _ ->
+                failwith "dataplane: scalar inbound did not deliver")
+        | Gateway.Bypass _ | Gateway.Dropped _ | Gateway.Need_rekey _ ->
+            failwith "dataplane: scalar outbound did not tunnel"
+      done)
 
 (* Seed leg: the baseline the 3x gate compares against — the scalar
    path exactly as the growth seed shipped it (see [Seed_path]):
@@ -867,31 +774,25 @@ let dataplane_scalar ~payload_len ~flows ~packets =
    assembly and the generic allocating HMAC.  Conservative in the
    seed's favour: the seed gateway's O(tunnels) SPI scan and SPD walk
    are not charged here. *)
-let dataplane_seed ~payload_len ~flows ~packets =
+let dataplane_seed ~reps ~payload_len ~packets =
   let tx, _ = dataplane_sa_pair () in
   let _, rx = dataplane_sa_pair () in
   let rng = Rng.create 731L in
-  let traffic = dataplane_traffic ~flows ~payload_len in
+  let traffic = dataplane_traffic ~flows:1 ~payload_len in
   let outer_src = Ip.addr_of_string "192.1.99.34" in
   let outer_dst = Ip.addr_of_string "192.1.99.35" in
   let expected = ref 1 in
-  let forward n =
-    for _ = 1 to n do
-      let p = Traffic.next_packet traffic in
-      let outer = Seed_path.encapsulate tx ~rng ~outer_src ~outer_dst p in
-      let wire = Ip.serialize outer in
-      let inner, seq =
-        Seed_path.decapsulate rx ~expected_seq:!expected (Ip.parse wire)
-      in
-      expected := seq + 1;
-      ignore (Ip.serialize inner)
-    done
-  in
-  forward (max 1 (packets / 10));
-  let t0 = Unix.gettimeofday () in
-  forward packets;
-  let dt = Unix.gettimeofday () -. t0 in
-  float_of_int packets /. dt
+  best_pps ~reps ~packets (fun n ->
+      for _ = 1 to n do
+        let p = Traffic.next_packet traffic in
+        let outer = Seed_path.encapsulate tx ~rng ~outer_src ~outer_dst p in
+        let wire = Ip.serialize outer in
+        let inner, seq =
+          Seed_path.decapsulate rx ~expected_seq:!expected (Ip.parse wire)
+        in
+        expected := seq + 1;
+        ignore (Ip.serialize inner)
+      done)
 
 (* The seed-path reproduction must emit the very bytes the current
    reference path emits (the ESP wire format never changed, only its
@@ -927,10 +828,11 @@ let dataplane_seed_faithful () =
   done;
   !ok
 
-(* Batch leg: pps and steady-state minor-heap words per packet. *)
 let dataplane_batch_size = 64
 
-let dataplane_batched ~payload_len ~flows ~packets =
+(* Batch leg: best-of-[reps] packets/s and the fewest steady-state
+   minor-heap words per packet. *)
+let dataplane_batched ~reps ~payload_len ~flows ~packets =
   let a, b = dataplane_gateways () in
   let traffic = dataplane_traffic ~flows ~payload_len in
   let batch = dataplane_batch_size in
@@ -951,13 +853,15 @@ let dataplane_batched ~payload_len ~flows ~packets =
   in
   let batches = max 1 (packets / batch) in
   forward (max 1 (batches / 10));
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  forward batches;
-  let dt = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. minor0 in
+  let words = ref infinity in
+  let (), s =
+    time_best ~reps (fun () ->
+        let minor0 = Gc.minor_words () in
+        forward batches;
+        words := Float.min !words (Gc.minor_words () -. minor0))
+  in
   let n = float_of_int (batches * batch) in
-  (n /. dt, words /. n)
+  (n /. s, !words /. n)
 
 (* Byte-identity + replay-verdict equivalence of the kernels against
    the scalar reference: mirrored SA universes fed identical traffic
@@ -1021,28 +925,10 @@ let dataplane_identical ~transform =
   done;
   !ok
 
-(* Committed steady-state allocation budget for the batched dataplane:
-   minor-heap words per forwarded packet (encap + decap, single flow).
-   The path is now measurably allocation-free — the RNG carries its
-   state in native-int halves and SHA-1 finalization no longer builds a
-   local closure, the last two per-packet allocators — so the single-
-   flow figure is 0.0 words/pkt.  16 leaves headroom for incidental
-   runtime noise (GC sampling, signal handling) without letting a real
-   per-packet allocation regress in — versus ~1.2k words/pkt on the
-   seed path. *)
-let dataplane_words_budget = 16.0
-
-let bench_dataplane ~quick ~out () =
+let bench_dataplane ~quick =
   let packets = if quick then 20_000 else 200_000 in
   let reps = if quick then 1 else 3 in
   let sizes = if quick then [ 64; 1024 ] else [ 64; 256; 1024 ] in
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"pr\": 7,\n";
-  bpf "  \"preset\": %S,\n" (if quick then "quick" else "full");
-  bpf "  \"packets_per_leg\": %d,\n" packets;
-  bpf "  \"batch_size\": %d,\n" dataplane_batch_size;
   Format.printf "fast path vs scalar byte-identity (all transforms)...@.";
   let identical =
     List.for_all
@@ -1051,304 +937,165 @@ let bench_dataplane ~quick ~out () =
   in
   Format.printf "seed-path reproduction vs reference byte-identity...@.";
   let seed_faithful = dataplane_seed_faithful () in
-  let gate_speedup = ref 0.0 and gate_words = ref infinity in
-  let scalar_speedup_64 = ref 0.0 in
-  bpf "  \"dataplane\": [\n";
-  List.iteri
-    (fun i payload_len ->
-      Format.printf "dataplane %4dB payload (%d packets/leg)...@." payload_len
-        packets;
-      (* The seed leg is ~6x slower per packet; a tenth of the packets
-         still times it for tens of milliseconds at minimum. *)
-      let seed_pps = ref 0.0 in
-      for _ = 1 to reps do
-        seed_pps :=
-          max !seed_pps
-            (dataplane_seed ~payload_len ~flows:1
-               ~packets:(max 1_000 (packets / 10)))
-      done;
-      let scalar_pps = ref 0.0 in
-      for _ = 1 to reps do
-        scalar_pps :=
-          max !scalar_pps (dataplane_scalar ~payload_len ~flows:1 ~packets)
-      done;
-      let batched_pps = ref 0.0 and words_pp = ref infinity in
-      for _ = 1 to reps do
-        let pps, words = dataplane_batched ~payload_len ~flows:1 ~packets in
-        if pps > !batched_pps then batched_pps := pps;
-        if words < !words_pp then words_pp := words
-      done;
-      let vs_seed = !batched_pps /. !seed_pps in
-      let vs_scalar = !batched_pps /. !scalar_pps in
-      if payload_len = 64 then begin
-        gate_speedup := vs_seed;
-        scalar_speedup_64 := vs_scalar;
-        gate_words := !words_pp
-      end;
-      bpf
-        "    { \"payload_bytes\": %d, \"seed_pps\": %.0f, \"scalar_pps\": \
-         %.0f, \"batched_pps\": %.0f, \"speedup_vs_seed\": %.2f, \
-         \"speedup_vs_scalar\": %.2f, \"batched_minor_words_per_packet\": \
-         %.3f }%s\n"
-        payload_len !seed_pps !scalar_pps !batched_pps vs_seed vs_scalar
-        !words_pp
-        (if i = List.length sizes - 1 then "" else ",");
-      Format.printf
-        "  seed %8.0f pps, scalar %8.0f pps, batched %8.0f pps (%.2fx vs \
-         seed, %.2fx vs scalar), %.3f words/pkt@."
-        !seed_pps !scalar_pps !batched_pps vs_seed vs_scalar !words_pp)
-    sizes;
-  bpf "  ],\n";
+  let rows =
+    List.map
+      (fun payload_len ->
+        Format.printf "dataplane %4dB payload (%d packets/leg)...@."
+          payload_len packets;
+        (* The seed leg is ~6x slower per packet; a tenth of the packets
+           still times it for tens of milliseconds at minimum. *)
+        let seed_pps =
+          dataplane_seed ~reps ~payload_len ~packets:(max 1_000 (packets / 10))
+        in
+        let scalar_pps = dataplane_scalar ~reps ~payload_len ~packets in
+        let batched_pps, words =
+          dataplane_batched ~reps ~payload_len ~flows:1 ~packets
+        in
+        let vs_seed = batched_pps /. seed_pps in
+        let vs_scalar = batched_pps /. scalar_pps in
+        ( (payload_len, vs_seed, vs_scalar, words),
+          Json.(
+            Obj
+              [
+                ("payload_bytes", Int payload_len);
+                ("seed_pps", Float (0, seed_pps));
+                ("scalar_pps", Float (0, scalar_pps));
+                ("batched_pps", Float (0, batched_pps));
+                ("speedup_vs_seed", Float (2, vs_seed));
+                ("speedup_vs_scalar", Float (2, vs_scalar));
+                ("batched_minor_words_per_packet", Float (3, words));
+              ]) ))
+      sizes
+  in
+  let _, speedup, scalar_speedup, words =
+    List.find (fun (payload_len, _, _, _) -> payload_len = 64) (List.map fst rows)
+  in
   (* Per-packet flow cycling defeats the single-entry flow memo, so
      classification is paid per packet — recorded, not gated. *)
-  let mf_pps, mf_words = dataplane_batched ~payload_len:64 ~flows:32 ~packets in
-  bpf
-    "  \"multi_flow_64B\": { \"flows\": 32, \"batched_pps\": %.0f, \
-     \"minor_words_per_packet\": %.3f },\n"
-    mf_pps mf_words;
-  Format.printf "  32 flows: batched %10.0f pps, %.3f words/pkt@." mf_pps
-    mf_words;
-  bpf "  \"fast_path_byte_identical\": %b,\n" identical;
-  bpf "  \"seed_path_faithful\": %b,\n" seed_faithful;
-  bpf "  \"speedup_vs_seed_64B\": %.2f,\n" !gate_speedup;
-  bpf "  \"speedup_vs_scalar_64B\": %.2f,\n" !scalar_speedup_64;
-  bpf "  \"minor_words_per_packet_64B\": %.3f,\n" !gate_words;
-  bpf "  \"words_per_packet_budget\": %.1f,\n" dataplane_words_budget;
-  bpf "  \"speedup_gate_3x\": %b,\n" (!gate_speedup >= 3.0);
-  bpf "  \"alloc_gate\": %b\n" (!gate_words <= dataplane_words_budget);
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf
-    "wrote %s@.byte-identical %b, seed-faithful %b, 64B speedup vs seed \
-     %.2fx, %.3f words/pkt (budget %.1f)@."
-    out identical seed_faithful !gate_speedup !gate_words
-    dataplane_words_budget;
-  let fail = ref false in
-  if not identical then begin
-    Format.eprintf "FAIL: fast path is not byte-identical to the scalar path@.";
-    fail := true
-  end;
-  if not seed_faithful then begin
-    Format.eprintf
-      "FAIL: seed-path baseline is not byte-identical to the reference path@.";
-    fail := true
-  end;
-  if !gate_speedup < 3.0 then begin
-    Format.eprintf
-      "FAIL: batched speedup %.2fx < 3x over the seed scalar path at 64B \
-       payload@."
-      !gate_speedup;
-    fail := true
-  end;
-  if !gate_words > dataplane_words_budget then begin
-    Format.eprintf "FAIL: %.3f minor words/packet > budget %.1f@." !gate_words
-      dataplane_words_budget;
-    fail := true
-  end;
-  if !fail then exit 1
+  let mf_pps, mf_words =
+    dataplane_batched ~reps:1 ~payload_len:64 ~flows:32 ~packets
+  in
+  let speedup_ok = speedup >= dataplane_speedup_bound in
+  let words_ok = words <= dataplane_words_budget in
+  ( Json.
+      [
+        ("packets_per_leg", Int packets);
+        ("batch_size", Int dataplane_batch_size);
+        ("dataplane", List (List.map snd rows));
+        ( "multi_flow_64B",
+          Obj
+            [
+              ("flows", Int 32);
+              ("batched_pps", Float (0, mf_pps));
+              ("minor_words_per_packet", Float (3, mf_words));
+            ] );
+        ("fast_path_byte_identical", Bool identical);
+        ("seed_path_faithful", Bool seed_faithful);
+        ("speedup_vs_seed_64B", Float (2, speedup));
+        ("speedup_vs_scalar_64B", Float (2, scalar_speedup));
+        ("minor_words_per_packet_64B", Float (3, words));
+        ("words_per_packet_budget", Float (1, dataplane_words_budget));
+        ("speedup_gate_3x", Bool speedup_ok);
+        ("alloc_gate", Bool words_ok);
+      ],
+    [
+      ("fast_path_byte_identical", identical, "kernels = scalar path");
+      ("seed_path_faithful", seed_faithful, "seed path = reference path");
+      ( "speedup_gate_3x",
+        speedup_ok,
+        Printf.sprintf "%.2fx over the seed scalar path at 64B, bound >= %.1fx"
+          speedup dataplane_speedup_bound );
+      ( "alloc_gate",
+        words_ok,
+        Printf.sprintf "%.3f minor words/packet, budget %.1f" words
+          dataplane_words_budget );
+    ] )
 
-(* ==== "kms" preset (PR 8): key-distribution-as-a-service over the
-   metro mesh ==== *)
+(* ---- "kms": key distribution as a service over the metro
+   mesh.  The 104-node mesh must sustain the offered 10k requests/s
+   (simulated), share scarce supply fairly across equal-weight tenants,
+   and balance its books to the bit. ---- *)
 
-(* CI-gated service-level objectives for the metro KMS scenario: the
-   104-node mesh must sustain the offered 10k requests/s (simulated),
-   share scarce supply fairly across equal-weight tenants, and balance
-   its books to the bit. *)
 let kms_rps_gate = 10_000.0
 let kms_jain_gate = 0.9
 
-let bench_kms ~quick ~out () =
-  let profile = if quick then Qkd_kms.Load.quick else Qkd_kms.Load.default in
+let bench_kms ~quick =
+  let module L = Qkd_kms.Load in
+  let profile = if quick then L.quick else L.default in
   Format.printf
     "kms: %d tenants, %d req/s offered for %.0f s over metro ring-of-rings...@."
-    profile.Qkd_kms.Load.tenants profile.Qkd_kms.Load.target_rps
-    profile.Qkd_kms.Load.duration_s;
-  let t0 = Unix.gettimeofday () in
-  let o = Qkd_kms.Load.run profile in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let s = o.Qkd_kms.Load.stats in
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"pr\": 8,\n";
-  bpf "  \"preset\": %S,\n" (if quick then "quick" else "full");
-  bpf "  \"topology\": \"metro_ring_of_rings\",\n";
-  bpf "  \"nodes\": %d,\n" o.Qkd_kms.Load.nodes;
-  bpf "  \"edges\": %d,\n" o.Qkd_kms.Load.edges;
-  bpf "  \"endpoints\": %d,\n" o.Qkd_kms.Load.endpoints;
-  bpf "  \"tenants\": %d,\n" s.Qkd_kms.Kms.tenants;
-  bpf "  \"bits_per_request\": %d,\n" profile.Qkd_kms.Load.bits;
-  bpf "  \"offered_rps\": %d,\n" profile.Qkd_kms.Load.target_rps;
-  bpf "  \"duration_s\": %.1f,\n" profile.Qkd_kms.Load.duration_s;
-  bpf "  \"wall_s\": %.2f,\n" wall_s;
-  bpf "  \"submitted\": %d,\n" s.Qkd_kms.Kms.submitted;
-  bpf "  \"delivered\": %d,\n" s.Qkd_kms.Kms.delivered;
-  bpf "  \"delivered_rps\": %.0f,\n" o.Qkd_kms.Load.delivered_rps;
-  bpf "  \"rejected\": %d,\n" s.Qkd_kms.Kms.rejected;
-  bpf "  \"shed\": %d,\n" s.Qkd_kms.Kms.shed;
-  bpf "  \"gave_up\": %d,\n" s.Qkd_kms.Kms.gave_up;
-  bpf "  \"retries\": %d,\n" s.Qkd_kms.Kms.retries;
-  bpf "  \"delivered_bits\": %d,\n" s.Qkd_kms.Kms.delivered_bits;
-  bpf "  \"pad_spend_bits\": %d,\n" s.Qkd_kms.Kms.pad_spend_bits;
-  bpf "  \"per_class\": [\n";
-  List.iteri
-    (fun i (c : Qkd_kms.Kms.class_stats) ->
-      bpf
-        "    { \"class\": %S, \"delivered\": %d, \"p50_latency_s\": %.4f, \
-         \"p95_latency_s\": %.4f }%s\n"
-        (Qkd_kms.Qos.label c.Qkd_kms.Kms.klass)
-        c.Qkd_kms.Kms.delivered c.Qkd_kms.Kms.p50_latency_s
-        c.Qkd_kms.Kms.p95_latency_s
-        (if i = 2 then "" else ","))
-    s.Qkd_kms.Kms.per_class;
-  bpf "  ],\n";
-  bpf "  \"jain_fairness\": %.4f,\n" s.Qkd_kms.Kms.jain_fairness;
-  bpf "  \"accounting_drift_bits\": %d,\n" s.Qkd_kms.Kms.accounting_drift_bits;
-  bpf "  \"in_flight_at_quiescence\": %d,\n" s.Qkd_kms.Kms.in_flight;
-  bpf "  \"shards_below_watermark\": %d,\n" s.Qkd_kms.Kms.shards_below_watermark;
-  let rps_ok = o.Qkd_kms.Load.delivered_rps >= kms_rps_gate in
-  let jain_ok = s.Qkd_kms.Kms.jain_fairness >= kms_jain_gate in
-  let drift_ok =
-    s.Qkd_kms.Kms.accounting_drift_bits = 0 && s.Qkd_kms.Kms.in_flight = 0
-  in
-  bpf "  \"rps_gate_10k\": %b,\n" rps_ok;
-  bpf "  \"jain_gate\": %b,\n" jain_ok;
-  bpf "  \"drift_gate\": %b\n" drift_ok;
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf
-    "wrote %s@.%d/%d delivered (%.0f req/s simulated, offered %d/s), jain \
-     %.4f, drift %d bits, %.2f s wall@."
-    out s.Qkd_kms.Kms.delivered s.Qkd_kms.Kms.submitted
-    o.Qkd_kms.Load.delivered_rps profile.Qkd_kms.Load.target_rps
-    s.Qkd_kms.Kms.jain_fairness s.Qkd_kms.Kms.accounting_drift_bits wall_s;
-  List.iter
-    (fun (c : Qkd_kms.Kms.class_stats) ->
-      Format.printf "  %-8s %6d delivered, p50 %.4f s, p95 %.4f s@."
-        (Qkd_kms.Qos.label c.Qkd_kms.Kms.klass)
-        c.Qkd_kms.Kms.delivered c.Qkd_kms.Kms.p50_latency_s
-        c.Qkd_kms.Kms.p95_latency_s)
-    s.Qkd_kms.Kms.per_class;
-  let fail = ref false in
-  if not rps_ok then begin
-    Format.eprintf "FAIL: delivered %.0f req/s < %.0f req/s gate@."
-      o.Qkd_kms.Load.delivered_rps kms_rps_gate;
-    fail := true
-  end;
-  if not jain_ok then begin
-    Format.eprintf "FAIL: jain fairness %.4f < %.2f gate@."
-      s.Qkd_kms.Kms.jain_fairness kms_jain_gate;
-    fail := true
-  end;
-  if not drift_ok then begin
-    Format.eprintf
-      "FAIL: accounting drift %d bits (in flight %d) — must be exactly 0 at \
-       quiescence@."
-      s.Qkd_kms.Kms.accounting_drift_bits s.Qkd_kms.Kms.in_flight;
-    fail := true
-  end;
-  if !fail then exit 1
+    profile.tenants profile.target_rps profile.duration_s;
+  let o, wall_s = time_best ~reps:1 (fun () -> L.run profile) in
+  let s = o.stats in
+  let rps_ok = o.delivered_rps >= kms_rps_gate in
+  let jain_ok = s.jain_fairness >= kms_jain_gate in
+  let drift_ok = s.accounting_drift_bits = 0 && s.in_flight = 0 in
+  ( Json.
+      [
+        ("topology", String "metro_ring_of_rings");
+        ("nodes", Int o.nodes);
+        ("edges", Int o.edges);
+        ("endpoints", Int o.endpoints);
+        ("tenants", Int s.tenants);
+        ("bits_per_request", Int profile.bits);
+        ("offered_rps", Int profile.target_rps);
+        ("duration_s", Float (1, profile.duration_s));
+        ("wall_s", Float (2, wall_s));
+        ("submitted", Int s.submitted);
+        ("delivered", Int s.delivered);
+        ("delivered_rps", Float (0, o.delivered_rps));
+        ("rejected", Int s.rejected);
+        ("shed", Int s.shed);
+        ("gave_up", Int s.gave_up);
+        ("retries", Int s.retries);
+        ("delivered_bits", Int s.delivered_bits);
+        ("pad_spend_bits", Int s.pad_spend_bits);
+        ( "per_class",
+          List
+            (List.map
+               (fun (c : Qkd_kms.Kms.class_stats) ->
+                 Obj
+                   [
+                     ("class", String (Qkd_kms.Qos.label c.klass));
+                     ("delivered", Int c.delivered);
+                     ("p50_latency_s", Float (4, c.p50_latency_s));
+                     ("p95_latency_s", Float (4, c.p95_latency_s));
+                   ])
+               s.per_class) );
+        ("jain_fairness", Float (4, s.jain_fairness));
+        ("accounting_drift_bits", Int s.accounting_drift_bits);
+        ("in_flight_at_quiescence", Int s.in_flight);
+        ("shards_below_watermark", Int s.shards_below_watermark);
+        ("rps_gate_10k", Bool rps_ok);
+        ("jain_gate", Bool jain_ok);
+        ("drift_gate", Bool drift_ok);
+      ],
+    [
+      ( "rps_gate_10k",
+        rps_ok,
+        Printf.sprintf "%.0f req/s delivered, bound >= %.0f" o.delivered_rps
+          kms_rps_gate );
+      ( "jain_gate",
+        jain_ok,
+        Printf.sprintf "jain fairness %.4f, bound >= %.2f" s.jain_fairness
+          kms_jain_gate );
+      ( "drift_gate",
+        drift_ok,
+        Printf.sprintf "drift %d bits with %d in flight, both must be 0"
+          s.accounting_drift_bits s.in_flight );
+    ] )
 
-(* ==== "flight" preset (PR 10): the black-box flight recorder ====
+(* ---- "flight": the black-box flight recorder.  Wide-event
+   emission must cost < 5% on both hot paths (protocol rounds and the
+   metro KMS), the per-lane rings must stay bounded under overflow, a
+   seeded run's dump fingerprint must be deterministic (and survive a
+   save/load round trip), and the recorder must not perturb seeded
+   bit-identity or the batched dataplane's allocation budget. ---- *)
 
-   Gates: wide-event emission must cost < 5% on both hot paths
-   (protocol rounds and the metro KMS), the per-lane rings must stay
-   bounded under overflow, a seeded run's dump fingerprint must be
-   deterministic (and survive a save/load round trip), and the
-   recorder must not perturb the two invariants earlier PRs committed
-   to: seeded bit-identity and the batched dataplane's 16 words/packet
-   allocation budget. -- *)
-
-module Recorder = Qkd_obs.Recorder
 module Key_pool = Qkd_protocol.Key_pool
 module Auth = Qkd_protocol.Auth
 
-(* Recorder overhead on the engine hot path: the interleaved loop of
-   [measure_obs_overhead], but both legs keep Control enabled (metric
-   cost identical) and only toggle [Recorder.set_recording] — isolating
-   the wide-event emission itself. *)
-let measure_recorder_overhead ~rounds =
-  let time ~recording =
-    let reg = Qkd_obs.Registry.create () in
-    Qkd_obs.Registry.with_registry reg (fun () ->
-        Recorder.with_recorder (Recorder.create ()) (fun () ->
-            Recorder.set_recording recording;
-            let engine = Engine.create ~seed:2003L Engine.default_config in
-            ignore (Engine.run_round engine ~pulses:10_000);
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to rounds do
-              ignore (Engine.run_round engine ~pulses:10_000)
-            done;
-            Unix.gettimeofday () -. t0))
-  in
-  (* Best-of-3 per mode, alternating: noise only ever adds time, so
-     the min/min ratio is far steadier than summed interleaves. *)
-  ignore (time ~recording:false);
-  let best_off = ref infinity and best_on = ref infinity in
-  for _ = 1 to 3 do
-    best_off := Float.min !best_off (time ~recording:false);
-    best_on := Float.min !best_on (time ~recording:true)
-  done;
-  Recorder.set_recording true;
-  !best_on /. !best_off
-
-(* Same discipline on the KMS: a full quick-profile load run per leg,
-   with per-request events (and latency exemplars) on vs off.  A load
-   run allocates enough that single-run wall clock is GC-noisy, so the
-   ratio compares best-of-3 per mode (noise only ever adds time;
-   [time_best]'s estimator), alternating modes against frequency
-   drift, with a warm-up run and a compact before each timed leg. *)
-let measure_kms_recorder_overhead () =
-  let time ~recording =
-    let reg = Qkd_obs.Registry.create () in
-    Qkd_obs.Registry.with_registry reg (fun () ->
-        Recorder.with_recorder (Recorder.create ()) (fun () ->
-            Recorder.set_recording recording;
-            Gc.compact ();
-            let t0 = Unix.gettimeofday () in
-            ignore (Qkd_kms.Load.run Qkd_kms.Load.quick);
-            Unix.gettimeofday () -. t0))
-  in
-  ignore (time ~recording:false);
-  let best_off = ref infinity and best_on = ref infinity in
-  for _ = 1 to 3 do
-    best_off := Float.min !best_off (time ~recording:false);
-    best_on := Float.min !best_on (time ~recording:true)
-  done;
-  Recorder.set_recording true;
-  !best_on /. !best_off
-
-(* Overflow a deliberately tiny ring and check drop-oldest holds:
-   retained can never exceed capacity x lanes however many rounds run. *)
-let flight_rings_bounded () =
-  let capacity = 16 in
-  let r = Recorder.create ~capacity () in
-  Recorder.with_recorder r (fun () ->
-      let engine = Engine.create ~seed:2003L Engine.default_config in
-      for _ = 1 to 5 * capacity do
-        ignore (Engine.run_round engine ~pulses:1_000)
-      done);
-  let retained = Recorder.retained r in
-  let dropped = Recorder.dropped r in
-  (retained, dropped, retained <= capacity * Recorder.lane_count && dropped > 0)
-
-(* One seeded engine run captured into a private recorder; the dump
-   fingerprint (wall-clock fields canonicalized away) must be equal
-   across repeats. *)
-let flight_dump ~rounds ~pulses =
-  let r = Recorder.create () in
-  let reg = Qkd_obs.Registry.create () in
-  Qkd_obs.Registry.with_registry reg (fun () ->
-      Recorder.with_recorder r (fun () ->
-          let engine = Engine.create ~seed:2003L Engine.default_config in
-          for _ = 1 to rounds do
-            ignore (Engine.run_round engine ~pulses)
-          done));
-  Recorder.snapshot ~reason:"bench" r
+let flight_ring_capacity = 16
 
 let flight_dump_file = "blackbox_flight.bbox"
 
@@ -1372,142 +1119,170 @@ let engine_run_fingerprint engine results =
     Engine.rounds_completed engine,
     Engine.rounds_failed engine )
 
-(* One seeded serial run in a fresh recorder with recording switched
-   [recording]; returns the run's fingerprint and the events the
-   recorder took in. *)
-let recorded_run ~recording ~rounds ~pulses =
-  let r = Recorder.create () in
-  let fp =
-    Recorder.with_recorder r (fun () ->
-        Recorder.set_recording recording;
-        Fun.protect
-          ~finally:(fun () -> Recorder.set_recording true)
-          (fun () ->
-            let engine = Engine.create ~seed:2003L Engine.default_config in
-            let acc = ref [] in
-            for _ = 1 to rounds do
-              acc := Engine.run_round engine ~pulses :: !acc
-            done;
-            engine_run_fingerprint engine (List.rev !acc)))
+(* One seeded serial run of [rounds] x [pulses] in a fresh registry and
+   a fresh recorder, with recording switched [recording]; returns the
+   recorder, the engine and the per-round results. *)
+let recorded_run ?capacity ?(recording = true) ~rounds ~pulses () =
+  let r = Recorder.create ?capacity () in
+  let engine, results =
+    Qkd_obs.Registry.with_registry (Qkd_obs.Registry.create ()) (fun () ->
+        Recorder.with_recorder r (fun () ->
+            with_recording recording (fun () ->
+                let engine = Engine.create ~seed:2003L Engine.default_config in
+                let acc = ref [] in
+                for _ = 1 to rounds do
+                  acc := Engine.run_round engine ~pulses :: !acc
+                done;
+                (engine, List.rev !acc))))
   in
-  (fp, Recorder.emitted r)
+  (r, engine, results)
 
-let bench_flight ~quick ~out () =
-  let rounds = 40 in
-  Format.printf "flight: engine recorder overhead (%d rounds x2, median of 3)...@."
-    rounds;
-  let engine_ratio =
-    median3
-      (measure_recorder_overhead ~rounds)
-      (measure_recorder_overhead ~rounds)
-      (measure_recorder_overhead ~rounds)
+let bench_flight ~quick =
+  (* Both legs keep Control enabled (metric cost identical) and only
+     toggle recording, isolating the wide-event emission itself. *)
+  let recording_leg on f =
+    Recorder.with_recorder (Recorder.create ()) (fun () ->
+        with_recording on f)
   in
-  Format.printf
-    "flight: kms recorder overhead (quick load profile, best of 3)...@.";
-  let kms_ratio = measure_kms_recorder_overhead () in
+  Format.printf "flight: engine recorder overhead (%d rounds, best of %d)...@."
+    engine_rounds engine_reps;
+  let engine_ratio =
+    overhead_ratio ~reps:engine_reps ~run:(fun ~on ->
+        recording_leg on (fun () -> engine_leg ()))
+  in
+  Format.printf "flight: kms recorder overhead (quick load profile, best of 3)...@.";
+  let kms_ratio =
+    overhead_ratio ~reps:3 ~run:(fun ~on ->
+        Qkd_obs.Registry.with_registry (Qkd_obs.Registry.create ()) (fun () ->
+            recording_leg on (fun () ->
+                seconds (fun () -> ignore (Qkd_kms.Load.run Qkd_kms.Load.quick)))))
+  in
+  (* Overflow a deliberately tiny ring: drop-oldest must keep retained
+     within capacity x lanes however many rounds run. *)
   Format.printf "flight: ring bound under overflow...@.";
-  let retained, dropped, rings_bounded = flight_rings_bounded () in
+  let ring, _, _ =
+    recorded_run ~capacity:flight_ring_capacity
+      ~rounds:(5 * flight_ring_capacity) ~pulses:1_000 ()
+  in
+  let retained = Recorder.retained ring and dropped = Recorder.dropped ring in
+  let rings_bounded =
+    retained <= flight_ring_capacity * Recorder.lane_count && dropped > 0
+  in
+  (* A seeded run's dump fingerprint (wall-clock fields canonicalized
+     away) must be equal across repeats. *)
   Format.printf "flight: seeded dump fingerprint x2 + save/load round trip...@.";
-  let dump_rounds = 8 and dump_pulses = 10_000 in
-  let d1 = flight_dump ~rounds:dump_rounds ~pulses:dump_pulses in
-  let d2 = flight_dump ~rounds:dump_rounds ~pulses:dump_pulses in
+  let dump () =
+    let r, _, _ = recorded_run ~rounds:8 ~pulses:10_000 () in
+    Recorder.snapshot ~reason:"bench" r
+  in
+  let d1 = dump () in
+  let d2 = dump () in
   let fp1 = Recorder.fingerprint d1 and fp2 = Recorder.fingerprint d2 in
   Recorder.save d1 flight_dump_file;
   let roundtrip_ok =
     Recorder.fingerprint (Recorder.load flight_dump_file) = fp1
   in
-  let fingerprint_deterministic = fp1 = fp2 in
   let identity_rounds = if quick then 2 else 6 in
   let identity_pulses = 1_000_000 in
   Format.printf
     "flight: bit-identity, recording on vs off (%d rounds x %d pulses)...@."
     identity_rounds identity_pulses;
-  let fp_on, emitted_on =
-    recorded_run ~recording:true ~rounds:identity_rounds
-      ~pulses:identity_pulses
+  let fingerprint recording =
+    let r, engine, results =
+      recorded_run ~recording ~rounds:identity_rounds ~pulses:identity_pulses ()
+    in
+    (Recorder.emitted r, engine_run_fingerprint engine results)
   in
-  let fp_off, _ =
-    recorded_run ~recording:false ~rounds:identity_rounds
-      ~pulses:identity_pulses
-  in
+  let emitted_on, fp_on = fingerprint true in
+  let _, fp_off = fingerprint false in
   (* The comparison only means something if the "on" leg recorded. *)
   let bit_identical = emitted_on = identity_rounds && fp_on = fp_off in
-  let with_fresh_recorder f =
-    Recorder.with_recorder (Recorder.create ()) f
-  in
+  (* The dataplane alloc gate's configuration (64B, single flow),
+     best of 2 to shrug off a GC-unlucky rep. *)
   Format.printf "flight: dataplane allocation budget with recorder on...@.";
-  (* Same configuration as the PR 7 alloc gate (64B, single flow),
-     min-of-2 to shrug off a GC-unlucky rep. *)
-  let packets = if quick then 20_000 else 100_000 in
   let pps, words =
-    with_fresh_recorder (fun () ->
-        let pps1, w1 = dataplane_batched ~payload_len:64 ~flows:1 ~packets in
-        let pps2, w2 = dataplane_batched ~payload_len:64 ~flows:1 ~packets in
-        (Float.max pps1 pps2, Float.min w1 w2))
+    recording_leg true (fun () ->
+        dataplane_batched ~reps:2 ~payload_len:64 ~flows:1
+          ~packets:(if quick then 20_000 else 100_000))
   in
   let words_ok = words <= dataplane_words_budget in
-  let buf = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"pr\": 10,\n";
-  bpf "  \"preset\": %S,\n" (if quick then "quick" else "full");
-  bpf "  \"engine_overhead_ratio\": %.4f,\n" engine_ratio;
-  bpf "  \"kms_overhead_ratio\": %.4f,\n" kms_ratio;
-  bpf "  \"ring_capacity_per_lane\": 16,\n";
-  bpf "  \"ring_retained\": %d,\n" retained;
-  bpf "  \"ring_dropped\": %d,\n" dropped;
-  bpf "  \"rings_bounded\": %b,\n" rings_bounded;
-  bpf "  \"dump_fingerprint\": %S,\n" fp1;
-  bpf "  \"dump_fingerprint_deterministic\": %b,\n" fingerprint_deterministic;
-  bpf "  \"dump_roundtrip_ok\": %b,\n" roundtrip_ok;
-  bpf "  \"bit_identical_with_recorder\": %b,\n" bit_identical;
-  bpf "  \"recorder_dataplane_pps\": %.0f,\n" pps;
-  bpf "  \"recorder_words_per_packet\": %.3f,\n" words;
-  bpf "  \"words_per_packet_budget\": %.1f\n" dataplane_words_budget;
-  bpf "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf
-    "wrote %s@.engine ratio %.4f, kms ratio %.4f, rings %d retained / %d \
-     dropped, fingerprint %s, bit-identical %b, %.3f words/pkt@."
-    out engine_ratio kms_ratio retained dropped fp1 bit_identical words;
-  let fail = ref false in
-  if engine_ratio >= 1.05 then begin
-    Format.eprintf "FAIL: engine recorder overhead ratio %.4f >= 1.05@."
-      engine_ratio;
-    fail := true
-  end;
-  if kms_ratio >= 1.05 then begin
-    Format.eprintf "FAIL: kms recorder overhead ratio %.4f >= 1.05@." kms_ratio;
-    fail := true
-  end;
-  if not rings_bounded then begin
-    Format.eprintf "FAIL: ring bound violated (%d retained, %d dropped)@."
-      retained dropped;
-    fail := true
-  end;
-  if not fingerprint_deterministic then begin
-    Format.eprintf "FAIL: dump fingerprint differs across identical seeded runs@.";
-    fail := true
-  end;
-  if not roundtrip_ok then begin
-    Format.eprintf "FAIL: dump save/load round trip changed the fingerprint@.";
-    fail := true
-  end;
-  if not bit_identical then begin
-    Format.eprintf
-      "FAIL: engine run with recording on is not bit-identical to recording \
-       off@.";
-    fail := true
-  end;
-  if not words_ok then begin
-    Format.eprintf
-      "FAIL: %.3f words/packet with recorder on exceeds the %.1f budget@."
-      words dataplane_words_budget;
-    fail := true
-  end;
-  if !fail then exit 1
+  ( Json.
+      [
+        ("engine_overhead_ratio", Float (4, engine_ratio));
+        ("kms_overhead_ratio", Float (4, kms_ratio));
+        ("ring_capacity_per_lane", Int flight_ring_capacity);
+        ("ring_retained", Int retained);
+        ("ring_dropped", Int dropped);
+        ("rings_bounded", Bool rings_bounded);
+        ("dump_fingerprint", String fp1);
+        ("dump_fingerprint_deterministic", Bool (fp1 = fp2));
+        ("dump_roundtrip_ok", Bool roundtrip_ok);
+        ("bit_identical_with_recorder", Bool bit_identical);
+        ("recorder_dataplane_pps", Float (0, pps));
+        ("recorder_words_per_packet", Float (3, words));
+        ("words_per_packet_budget", Float (1, dataplane_words_budget));
+      ],
+    [
+      ratio_gate "engine_overhead_ratio" engine_ratio overhead_bound;
+      ratio_gate "kms_overhead_ratio" kms_ratio overhead_bound;
+      ( "rings_bounded",
+        rings_bounded,
+        Printf.sprintf "%d retained, %d dropped, capacity %d x %d lanes"
+          retained dropped flight_ring_capacity Recorder.lane_count );
+      ("dump_fingerprint_deterministic", fp1 = fp2, "same seed, same dump");
+      ("dump_roundtrip_ok", roundtrip_ok, "save/load keeps the fingerprint");
+      ("bit_identical_with_recorder", bit_identical, "recording on = off");
+      ( "recorder_words_per_packet",
+        words_ok,
+        Printf.sprintf "%.3f minor words/packet with recorder on, budget %.1f"
+          words dataplane_words_budget );
+    ] )
+
+(* ==== Driver ==== *)
+
+type preset = {
+  name : string;
+  pr : int;  (** the record's "pr" tag *)
+  out : string;  (** default output file *)
+  run : quick:bool -> (string * Json.t) list * gate list;
+}
+
+let presets =
+  [
+    { name = "json"; pr = 2; out = "BENCH_pr2.json"; run = bench_json };
+    { name = "resilience"; pr = 4; out = "BENCH_pr4.json"; run = bench_resilience };
+    { name = "obs"; pr = 5; out = "BENCH_pr5.json"; run = bench_obs };
+    { name = "campaign"; pr = 6; out = "BENCH_pr6.json"; run = bench_campaign };
+    { name = "dataplane"; pr = 7; out = "BENCH_pr7.json"; run = bench_dataplane };
+    { name = "kms"; pr = 8; out = "BENCH_pr8.json"; run = bench_kms };
+    { name = "flight"; pr = 10; out = "BENCH_pr10.json"; run = bench_flight };
+  ]
+
+(* Parse [--quick] [--out FILE], run the preset, write its record, then
+   report every gate; exit 1 if any failed. *)
+let run_preset p args =
+  let usage fault =
+    Format.eprintf "%s; usage: main.exe %s [--quick] [--out FILE]@." fault p.name;
+    exit 1
+  in
+  let rec options quick out = function
+    | [] -> (quick, out)
+    | "--quick" :: tl -> options true out tl
+    | "--out" :: file :: tl -> options quick file tl
+    | [ "--out" ] -> usage "--out needs a FILE"
+    | arg :: _ -> usage (Printf.sprintf "unknown %s option %S" p.name arg)
+  in
+  let quick, out = options false p.out args in
+  let members, gates = p.run ~quick in
+  let preset = Json.String (if quick then "quick" else "full") in
+  Json.to_file out (Json.Obj (("pr", Json.Int p.pr) :: ("preset", preset) :: members));
+  Format.printf "wrote %s@." out;
+  List.iter
+    (fun (name, ok, what) ->
+      if ok then Format.printf "ok   %s: %s@." name what
+      else Format.eprintf "FAIL %s: %s@." name what)
+    gates;
+  if List.exists (fun (_, ok, _) -> not ok) gates then exit 1
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1518,116 +1293,21 @@ let () =
       microbenches ()
   | [ "micro" ] -> microbenches ()
   | [ "tables" ] -> Experiments.all ()
-  | [ "obs" ] -> obs_overhead ()
-  | "obs" :: rest ->
-      let rec parse ~quick ~out = function
-        | [] -> (quick, out)
-        | "--quick" :: tl -> parse ~quick:true ~out tl
-        | "--out" :: file :: tl -> parse ~quick ~out:file tl
-        | arg :: _ ->
-            Format.eprintf
-              "unknown obs option %S; usage: main.exe obs [--quick] [--out \
-               FILE]@."
-              arg;
-            exit 1
-      in
-      let quick, out = parse ~quick:false ~out:"BENCH_pr5.json" rest in
-      bench_obs ~quick ~out ()
-  | "resilience" :: rest ->
-      let rec parse ~quick ~out = function
-        | [] -> (quick, out)
-        | "--quick" :: tl -> parse ~quick:true ~out tl
-        | "--out" :: file :: tl -> parse ~quick ~out:file tl
-        | arg :: _ ->
-            Format.eprintf
-              "unknown resilience option %S; usage: main.exe resilience \
-               [--quick] [--out FILE]@."
-              arg;
-            exit 1
-      in
-      let quick, out = parse ~quick:false ~out:"BENCH_pr4.json" rest in
-      bench_resilience ~quick ~out ()
-  | "json" :: rest ->
-      let rec parse ~quick ~out = function
-        | [] -> (quick, out)
-        | "--quick" :: tl -> parse ~quick:true ~out tl
-        | "--out" :: file :: tl -> parse ~quick ~out:file tl
-        | arg :: _ ->
-            Format.eprintf
-              "unknown json option %S; usage: main.exe json [--quick] [--out \
-               FILE]@."
-              arg;
-            exit 1
-      in
-      let quick, out = parse ~quick:false ~out:"BENCH_pr2.json" rest in
-      bench_json ~quick ~out ()
-  | "campaign" :: rest ->
-      let rec parse ~quick ~out = function
-        | [] -> (quick, out)
-        | "--quick" :: tl -> parse ~quick:true ~out tl
-        | "--out" :: file :: tl -> parse ~quick ~out:file tl
-        | arg :: _ ->
-            Format.eprintf
-              "unknown campaign option %S; usage: main.exe campaign [--quick] \
-               [--out FILE]@."
-              arg;
-            exit 1
-      in
-      let quick, out = parse ~quick:false ~out:"BENCH_pr6.json" rest in
-      bench_campaign ~quick ~out ()
-  | "dataplane" :: rest ->
-      let rec parse ~quick ~out = function
-        | [] -> (quick, out)
-        | "--quick" :: tl -> parse ~quick:true ~out tl
-        | "--out" :: file :: tl -> parse ~quick ~out:file tl
-        | arg :: _ ->
-            Format.eprintf
-              "unknown dataplane option %S; usage: main.exe dataplane \
-               [--quick] [--out FILE]@."
-              arg;
-            exit 1
-      in
-      let quick, out = parse ~quick:false ~out:"BENCH_pr7.json" rest in
-      bench_dataplane ~quick ~out ()
-  | "kms" :: rest ->
-      let rec parse ~quick ~out = function
-        | [] -> (quick, out)
-        | "--quick" :: tl -> parse ~quick:true ~out tl
-        | "--out" :: file :: tl -> parse ~quick ~out:file tl
-        | arg :: _ ->
-            Format.eprintf
-              "unknown kms option %S; usage: main.exe kms [--quick] [--out \
-               FILE]@."
-              arg;
-            exit 1
-      in
-      let quick, out = parse ~quick:false ~out:"BENCH_pr8.json" rest in
-      bench_kms ~quick ~out ()
-  | "flight" :: rest ->
-      let rec parse ~quick ~out = function
-        | [] -> (quick, out)
-        | "--quick" :: tl -> parse ~quick:true ~out tl
-        | "--out" :: file :: tl -> parse ~quick ~out:file tl
-        | arg :: _ ->
-            Format.eprintf
-              "unknown flight option %S; usage: main.exe flight [--quick] \
-               [--out FILE]@."
-              arg;
-            exit 1
-      in
-      let quick, out = parse ~quick:false ~out:"BENCH_pr10.json" rest in
-      bench_flight ~quick ~out ()
-  | [ name ] -> (
-      match Experiments.by_name name with
-      | Some f -> f ()
-      | None ->
+  | name :: rest -> (
+      match
+        (List.find_opt (fun p -> p.name = name) presets, Experiments.by_name name, rest)
+      with
+      | Some p, _, _ -> run_preset p rest
+      | None, Some f, [] -> f ()
+      | None, None, [] ->
           Format.eprintf "unknown experiment %S; available: %s@." name
             (String.concat ", "
-               ("micro" :: "tables" :: "obs" :: "json" :: "campaign"
-              :: "dataplane" :: "kms" :: "flight"
-              :: Experiments.names));
-          exit 1)
-  | _ ->
-      Format.eprintf "usage: main.exe [experiment] [--metrics]@.";
-      exit 1);
+               (("micro" :: "tables" :: List.map (fun p -> p.name) presets)
+               @ Experiments.names));
+          exit 1
+      | None, _, _ :: _ ->
+          Format.eprintf
+            "usage: main.exe [micro | tables | experiment | preset [--quick] \
+             [--out FILE]] [--metrics]@.";
+          exit 1));
   if metrics <> [] then Qkd_obs.Export.print_dump ()

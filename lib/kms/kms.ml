@@ -6,7 +6,6 @@ type config = {
   dispatch_budget : int;
   max_in_flight : int;
   shard_low_watermark : int;
-  latency_window : int;
   realtime : Qos.policy;
   standard : Qos.policy;
   bulk : Qos.policy;
@@ -18,7 +17,6 @@ let default_config =
     dispatch_budget = 256;
     max_in_flight = 65_536;
     shard_low_watermark = 1024;
-    latency_window = 4096;
     realtime = Qos.default_policy Qos.Realtime;
     standard = Qos.default_policy Qos.Standard;
     bulk = Qos.default_policy Qos.Bulk;
@@ -77,7 +75,6 @@ let create ?(config = default_config) ~sim relay =
     invalid_arg "Kms.create: dispatch interval must be positive";
   if config.dispatch_budget < 1 then invalid_arg "Kms.create: dispatch_budget < 1";
   if config.max_in_flight < 1 then invalid_arg "Kms.create: max_in_flight < 1";
-  if config.latency_window < 1 then invalid_arg "Kms.create: latency_window < 1";
   List.iter
     (fun k -> Qos.validate_policy ~who:"Kms.create" (policy_for config k))
     Qos.all;
@@ -524,9 +521,7 @@ let stats (t : t) =
       List.map
         (fun k ->
           let h = t.lat.(class_index k) in
-          (* Bucket-interpolated quantiles (0.0 before any delivery):
-             fixed memory where the old per-class sample rings held
-             [latency_window] floats each. *)
+          (* Bucket-interpolated quantiles (0.0 before any delivery). *)
           let q p =
             let v = Qkd_obs.Histogram.quantile h p in
             if Float.is_nan v then 0.0 else v

@@ -27,10 +27,6 @@ type config = {
   dispatch_budget : int;  (** requests served per tick *)
   max_in_flight : int;  (** admission bound; excess is shed *)
   shard_low_watermark : int;  (** per-edge scarcity threshold, bits *)
-  latency_window : int;
-      (** retained for config compatibility; per-class latency stats
-          now read bucket-interpolated histogram quantiles, so no
-          sample ring exists to size *)
   realtime : Qos.policy;
   standard : Qos.policy;
   bulk : Qos.policy;
